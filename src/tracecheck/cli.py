@@ -21,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import TracecheckError
+from .errors import ParseError, TracecheckError
 from .explorer import ExplorerConfig, explain, explored_dot, validate
 from .machine import Spec
 from .protocols import (TokenRingConfig, TwoPhaseConfig,
@@ -221,6 +221,9 @@ def _cmd_schema_check(args) -> int:
         except json.JSONDecodeError as exc:
             problems.append((lineno, f"not valid JSON: {exc}"))
             continue
+        except RecursionError:
+            raise ParseError(f"{args.file}: line {lineno}: value nested "
+                             "too deeply", line=lineno) from None
         try:
             validate_entry(obj, line=lineno)
         except TracecheckError as exc:

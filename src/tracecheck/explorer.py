@@ -14,6 +14,16 @@ consumes the whole trace.
 ``validate`` runs BFS or DFS over deduplicated nodes; ``oracle_validate``
 re-derives acceptance by brute-force enumeration of behaviors with no
 dedup and no shared matching code, as an independent cross-check.
+
+A node's dedup key is (``SpecState.fingerprint()``, line).  The
+fingerprint is the tuple of the state's sorted variable names followed
+by each Value's canonical bytes, so two keys are equal exactly when the
+states are equal and the lines are equal: no digest is taken, and no
+collision can merge distinct nodes.
+
+Work fixed for a whole validation is done once, in ``_Compiled``: the
+composition map is checked, and each action's valuations are listed
+and rendered to event-arg strings, so a node only looks them up.
 """
 
 from __future__ import annotations
@@ -23,7 +33,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import GuardFailed, TracecheckError, UnknownEvent
-from .machine import ActionSchema, ComposedAction, Spec, SpecState, step
+from .machine import (ActionSchema, ComposedAction, Spec, SpecState,
+                      _dot_quote, step)
 from .traces import Trace, TraceEntry, serialize_entry
 from .values import (Value, apply_entry_updates, render_event_arg,
                      value_to_json)
@@ -61,6 +72,43 @@ def _check_composition(spec: Spec, cfg: ExplorerConfig) -> dict[str, ComposedAct
                     f"action {name!r}")
         out[event] = ComposedAction(event, tuple(stages))
     return out
+
+
+class _Compiled:
+    """What stays fixed for one validation, worked out once: the
+    checked composition map, and each action's valuations with the
+    event-arg strings they render as."""
+
+    def __init__(self, spec: Spec, cfg: ExplorerConfig):
+        self.composition = _check_composition(spec, cfg)
+        self._all: dict[str, list[tuple[Value, ...]]] = {}
+        self._rendered: dict[str, list[tuple[str, ...]]] = {}
+        self._pinned: dict[tuple[str, tuple[str, ...]],
+                           list[tuple[Value, ...]]] = {}
+
+    def valuations(self, schema: ActionSchema,
+                   event_args: Sequence[str] | None = None
+                   ) -> list[tuple[Value, ...]]:
+        """The schema's valuations in domain product order, keeping
+        those whose leading parameters render as ``event_args``."""
+        name = schema.name
+        out = self._all.get(name)
+        if out is None:
+            out = self._all[name] = list(schema.valuations())
+        if not event_args:
+            return out
+        key = (name, tuple(event_args))
+        pinned = self._pinned.get(key)
+        if pinned is None:
+            rendered = self._rendered.get(name)
+            if rendered is None:
+                rendered = self._rendered[name] = [
+                    tuple(map(render_event_arg, vals)) for vals in out]
+            n = len(key[1])
+            pinned = self._pinned[key] = [
+                vals for vals, text in zip(out, rendered)
+                if text[:n] == key[1]]
+        return pinned
 
 
 @dataclass(frozen=True)
@@ -187,16 +235,6 @@ class Verdict:
         return out
 
 
-def _prefix_matches(values: Sequence[Value],
-                    event_args: Sequence[str] | None) -> bool:
-    if not event_args:
-        return True
-    if len(event_args) > len(values):
-        return False
-    return all(render_event_arg(values[i]) == event_args[i]
-               for i in range(len(event_args)))
-
-
 def _expected_values(state: SpecState, entry: TraceEntry
                      ) -> tuple[dict[str, Value] | None, Attempt | None]:
     """Replay the entry's updates per variable on the pre-state."""
@@ -236,7 +274,7 @@ def _filter_outs(outs: Iterable[SpecState], expected: dict[str, Value]
 
 
 def _composed_matches(spec: Spec, state: SpecState, comp: ComposedAction,
-                      event_args: Sequence[str] | None
+                      event_args: Sequence[str] | None, compiled: _Compiled
                       ) -> tuple[list[tuple[SpecState, tuple[tuple[Value, ...], ...]]], int]:
     """All chain outcomes of a composed action.
 
@@ -246,7 +284,7 @@ def _composed_matches(spec: Spec, state: SpecState, comp: ComposedAction,
     chain reached.
     """
     outcomes: list[tuple[SpecState, tuple[tuple[Value, ...], ...]]] = []
-    seen: set[bytes] = set()
+    seen: set[tuple] = set()
     deepest = 0
 
     def rec(s: SpecState, idx: int, used: list[tuple[Value, ...]]) -> None:
@@ -260,9 +298,8 @@ def _composed_matches(spec: Spec, state: SpecState, comp: ComposedAction,
             return
         schema = spec.action(comp.stages[idx])
         assert schema is not None
-        for vals in schema.valuations():
-            if idx == 0 and not _prefix_matches(vals, event_args):
-                continue
+        for vals in compiled.valuations(schema,
+                                        event_args if idx == 0 else None):
             try:
                 outs = step(spec, s, schema.name, vals)
             except GuardFailed:
@@ -275,15 +312,20 @@ def _composed_matches(spec: Spec, state: SpecState, comp: ComposedAction,
 
 
 def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
-                cfg: ExplorerConfig) -> tuple[list[Match], list[Attempt]]:
+                cfg: ExplorerConfig, compiled: _Compiled | None = None
+                ) -> tuple[list[Match], list[Attempt]]:
     """All distinct ways to consume ``entry`` from ``state``.
 
     Returns (matches, attempts): matches are deduplicated successor
     states with the step that produced them; attempts explain every
     candidate that failed.  Raises UnknownEvent when the entry names
     an event with neither an action nor a composition entry.
+    ``compiled`` is the validation's fixed work; it is built from
+    ``spec`` and ``cfg`` when not given.
     """
-    composition = _check_composition(spec, cfg)
+    if compiled is None:
+        compiled = _Compiled(spec, cfg)
+    composition = compiled.composition
     expected, bad = _expected_values(state, entry)
     if expected is None:
         assert bad is not None
@@ -291,7 +333,7 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
 
     matches: list[Match] = []
     attempts: list[Attempt] = []
-    seen: set[bytes] = set()
+    seen: set[tuple] = set()
 
     def keep(m: Match) -> None:
         fp = m.state.fingerprint()
@@ -300,11 +342,9 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
             matches.append(m)
 
     def try_action(schema: ActionSchema, constrain_args: bool) -> None:
-        any_instance = False
-        for vals in schema.valuations():
-            if constrain_args and not _prefix_matches(vals, entry.event_args):
-                continue
-            any_instance = True
+        candidates = compiled.valuations(
+            schema, entry.event_args if constrain_args else None)
+        for vals in candidates:
             try:
                 outs = step(spec, state, schema.name, vals)
             except GuardFailed as exc:
@@ -326,7 +366,7 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
                             f"{value_to_json(want)}, spec step gives "
                             f"{value_to_json(got)}"),
                     variable=var, expected=want, actual=got))
-        if constrain_args and not any_instance:
+        if constrain_args and not candidates:
             attempts.append(Attempt(
                 candidate=schema.name, reason="NoCandidateAction",
                 detail=(f"no parameter valuation renders as "
@@ -336,7 +376,7 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
         if entry.event in composition:
             comp = composition[entry.event]
             outcomes, deepest = _composed_matches(
-                spec, state, comp, entry.event_args)
+                spec, state, comp, entry.event_args, compiled)
             kept, miss = _filter_outs([s for s, _ in outcomes], expected)
             if outcomes and kept:
                 kept_fps = {t.fingerprint() for t in kept}
@@ -396,13 +436,13 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
     inconclusive verdict, never a rejection.
     """
     cfg = cfg or ExplorerConfig()
-    _check_composition(spec, cfg)
+    compiled = _Compiled(spec, cfg)
     t0 = time.monotonic()
     length = len(trace)
 
     states: list[SpecState] = []         # node id -> state
     lines: list[int] = []                # node id -> line (1-based)
-    ids: dict[tuple[bytes, int], int] = {}
+    ids: dict[tuple[tuple, int], int] = {}
     parent: list[tuple[int, Match] | None] = []
     edges: list[tuple[int, str, int]] = []
     dead: list[tuple[int, list[Attempt]]] = []
@@ -449,7 +489,8 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
             break
         entry = trace[line - 1]
         try:
-            matches, attempts = match_entry(spec, state, entry, cfg)
+            matches, attempts = match_entry(spec, state, entry, cfg,
+                                            compiled)
         except UnknownEvent as exc:
             matches = []
             attempts = [Attempt(
@@ -556,7 +597,7 @@ def oracle_validate(spec: Spec, trace: Trace,
         try:
             wanted = {v: apply_entry_updates(s[v], ops)
                       for v, ops in e.updates.items()
-                      if v in s.bindings}
+                      if v in s}
             if len(wanted) != len(e.updates):
                 return False
         except TracecheckError:
@@ -673,10 +714,6 @@ def explain(verdict: Verdict, spec: Spec, trace: Trace,
         if extra > 0:
             lines.append(f"  ... and {extra} more blocked state(s)")
     return "\n".join(lines)
-
-
-def _dot_quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def explored_dot(verdict: Verdict, trace: Trace) -> str:

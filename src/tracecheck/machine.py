@@ -13,7 +13,6 @@ trace explorer surfaces in its diagnostics.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -23,40 +22,74 @@ from .values import Value, value_to_json
 
 
 class SpecState:
-    """Immutable total assignment of variables to Values."""
+    """Immutable total assignment of variables to Values.
 
-    __slots__ = ("bindings", "_fp")
+    Values are stored positionally, in the sorted order of the
+    variable names.  That order (and the name -> position index) is
+    computed once when a state is built from a mapping and is shared by
+    every state derived from it with ``updated``.
+    """
+
+    __slots__ = ("_names", "_index", "_vals", "_fp")
 
     def __init__(self, bindings: Mapping[str, Value]):
         for k, v in bindings.items():
             if not isinstance(k, str) or not isinstance(v, Value):
                 raise TypeError("bindings must map str to Value")
-        self.bindings = dict(bindings)
-        self._fp: bytes | None = None
+        self._names = tuple(sorted(bindings))
+        self._index = {k: i for i, k in enumerate(self._names)}
+        self._vals = tuple(bindings[k] for k in self._names)
+        self._fp = None
 
-    def fingerprint(self) -> bytes:
+    def _derive(self, vals: tuple[Value, ...]) -> "SpecState":
+        out = object.__new__(SpecState)
+        out._names = self._names
+        out._index = self._index
+        out._vals = vals
+        out._fp = None
+        return out
+
+    @property
+    def bindings(self) -> dict[str, Value]:
+        """A fresh name -> Value dict, in sorted name order."""
+        return dict(zip(self._names, self._vals))
+
+    def fingerprint(self) -> tuple:
+        """The exact dedup key: the sorted variable names, then each
+        Value's canonical bytes in that order.
+
+        The names tuple and the bytes are the objects the state and its
+        Values already hold, so the key costs one tuple.  Keys are equal
+        exactly when the states bind the same names to equal Values:
+        Value equality is defined as equality of canonical bytes, and
+        the names header separates states over different variables.
+        There is no digest, so there is no collision to argue about.
+        """
         fp = self._fp
         if fp is None:
-            h = hashlib.sha256()
-            for name in sorted(self.bindings):
-                h.update(name.encode("utf-8"))
-                h.update(b"=")
-                h.update(self.bindings[name].canonical())
-                h.update(b";")
-            fp = h.digest()
+            fp = (self._names, *[v.canonical() for v in self._vals])
             self._fp = fp
         return fp
 
     def __getitem__(self, name: str) -> Value:
-        return self.bindings[name]
+        return self._vals[self._index[name]]
 
     def __contains__(self, name: str) -> bool:
-        return name in self.bindings
+        return name in self._index
 
     def updated(self, changes: Mapping[str, Value]) -> "SpecState":
-        merged = dict(self.bindings)
-        merged.update(changes)
-        return SpecState(merged)
+        """This state with ``changes`` applied.  Only the changed
+        bindings are checked; a new name gets a new variable order."""
+        index = self._index
+        vals = list(self._vals)
+        for k, v in changes.items():
+            i = index.get(k)
+            if i is None:
+                return SpecState({**self.bindings, **changes})
+            if not isinstance(v, Value):
+                raise TypeError("bindings must map str to Value")
+            vals[i] = v
+        return self._derive(tuple(vals))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpecState):
@@ -68,7 +101,7 @@ class SpecState:
 
     def describe(self) -> str:
         return ", ".join(f"{k}={value_to_json(v)}"
-                         for k, v in sorted(self.bindings.items()))
+                         for k, v in zip(self._names, self._vals))
 
     def __repr__(self) -> str:
         return f"SpecState({self.describe()})"
@@ -95,8 +128,12 @@ class ActionSchema:
     guard: tuple[GuardClause, ...]
     effect: Effect
 
+    def __post_init__(self):
+        object.__setattr__(self, "_param_names",
+                           tuple(n for n, _ in self.params))
+
     def param_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.params)
+        return self._param_names
 
     def valuations(self) -> Iterable[tuple[Value, ...]]:
         """Cartesian product of the parameter domains, declared order."""
@@ -104,7 +141,7 @@ class ActionSchema:
         return itertools.product(*domains)
 
     def bind(self, values: Sequence[Value]) -> Params:
-        names = self.param_names()
+        names = self._param_names
         if len(values) != len(names):
             raise ValueError(
                 f"{self.name} takes {len(names)} parameter(s), "
@@ -143,27 +180,27 @@ class Spec:
     def __post_init__(self):
         if not self.init:
             raise ValueError("a spec needs at least one initial state")
-        names = [a.name for a in self.actions]
-        if len(set(names)) != len(names):
+        # Built once: a spec's variables and actions are fixed after
+        # construction.
+        self._by_name = {a.name: a for a in self.actions}
+        if len(self._by_name) != len(self.actions):
             raise ValueError("duplicate action name")
-        declared = set(self.variables)
+        self._declared = frozenset(self.variables)
         for s in self.init:
-            if set(s.bindings) != declared:
+            if set(s.bindings) != self._declared:
                 raise ValueError(
                     "initial state does not bind exactly the declared "
-                    f"variables: {sorted(s.bindings)} vs {sorted(declared)}")
+                    f"variables: {sorted(s.bindings)} vs "
+                    f"{sorted(self._declared)}")
 
     def action(self, name: str) -> ActionSchema | None:
-        for a in self.actions:
-            if a.name == name:
-                return a
-        return None
+        return self._by_name.get(name)
 
 
 def _complete(spec: Spec, pre: SpecState,
               partial: dict[str, Value]) -> SpecState:
-    unknown = set(partial) - set(spec.variables)
-    if unknown:
+    if not spec._declared.issuperset(partial):
+        unknown = set(partial) - spec._declared
         raise ValueError(f"effect wrote undeclared variables: {sorted(unknown)}")
     return pre.updated(partial)
 
@@ -218,7 +255,7 @@ def _chain(spec: Spec, state: SpecState, stages: Sequence[str],
             raise KeyError(f"no action named {stage_name!r}")
         wanted = stage_values[idx]
         nxt: list[SpecState] = []
-        seen: set[bytes] = set()
+        seen: set[tuple] = set()
         for mid in frontier:
             if wanted is not None:
                 candidates = [tuple(wanted)]
@@ -276,7 +313,7 @@ def check_invariant(spec: Spec, state: SpecState, name: str) -> bool:
 def next_states(spec: Spec, state: SpecState) -> list[SpecState]:
     """Deduplicated successors under every enabled action instance."""
     out: list[SpecState] = []
-    seen: set[bytes] = set()
+    seen: set[tuple] = set()
     for name, values in enabled_instances(spec, state):
         for t in step(spec, state, name, values):
             fp = t.fingerprint()
@@ -294,7 +331,7 @@ def explore(spec: Spec, max_states: int = 10_000
     to index) and self-loops (stuttering steps) are skipped.
     """
     states: list[SpecState] = []
-    index: dict[bytes, int] = {}
+    index: dict[tuple, int] = {}
     edges: list[tuple[int, str, tuple[Value, ...], int]] = []
 
     for s in spec.init:

@@ -35,27 +35,28 @@ from .sim import SimNetwork, SimScheduler
 
 COMPOSITION = {"DetectAndInit": ("DetectTermination", "InitiateProbe")}
 
+_TRUE = VBool(True)
+_FALSE = VBool(False)
+
 
 def build_tokenring_spec(n: int) -> Spec:
     """The ring state machine for n >= 2 nodes."""
     if n < 2:
         raise ValueError("the ring needs at least 2 nodes")
     ids = tuple(VInt(i) for i in range(n))
+    keys = tuple(str(i) for i in range(n))
 
     init = SpecState({
         "token": VInt(0),
-        "active": VRec([(str(i), VBool(True)) for i in range(n)]),
-        "detected": VBool(False),
+        "active": VRec([(k, _TRUE) for k in keys]),
+        "detected": _FALSE,
     })
 
     def is_active(s: SpecState, i: int) -> bool:
-        return s["active"][str(i)] == VBool(True)
+        return s["active"][keys[i]] == _TRUE
 
     def deactivate(s, p):
-        i = p["i"].n
-        rec = s["active"]
-        return [{"active": VRec([(k, VBool(False) if k == str(i) else v)
-                                 for k, v in rec.fields])}]
+        return [{"active": s["active"].replaced(keys[p["i"].n], _FALSE)}]
 
     actions = [
         ActionSchema(
@@ -72,33 +73,33 @@ def build_tokenring_spec(n: int) -> Spec:
              GuardClause("node i is inactive",
                          lambda s, p: not is_active(s, p["i"].n)),
              GuardClause("termination not yet detected",
-                         lambda s, p: s["detected"] == VBool(False))),
-            lambda s, p: [{"token": VInt(p["i"].n - 1)}]),
+                         lambda s, p: s["detected"] == _FALSE)),
+            lambda s, p: [{"token": ids[p["i"].n - 1]}]),
         ActionSchema(
             # No detected-clause here: the probe may be relaunched right
             # after detection, which is what DetectAndInit composes.
             "InitiateProbe", (),
             (GuardClause("the initiator holds the token",
-                         lambda s, p: s["token"] == VInt(0)),
+                         lambda s, p: s["token"] == ids[0]),
              GuardClause("the initiator is inactive",
                          lambda s, p: not is_active(s, 0))),
-            lambda s, p: [{"token": VInt(n - 1)}]),
+            lambda s, p: [{"token": ids[n - 1]}]),
         ActionSchema(
             "DetectTermination", (),
             (GuardClause("the initiator holds the token",
-                         lambda s, p: s["token"] == VInt(0)),
+                         lambda s, p: s["token"] == ids[0]),
              GuardClause("every node is inactive",
                          lambda s, p: all(not is_active(s, i)
                                           for i in range(n))),
              GuardClause("termination not yet detected",
-                         lambda s, p: s["detected"] == VBool(False))),
-            lambda s, p: [{"detected": VBool(True)}]),
+                         lambda s, p: s["detected"] == _FALSE)),
+            lambda s, p: [{"detected": _TRUE}]),
     ]
 
     def quiet_when_detected(s: SpecState) -> bool:
-        if s["detected"] == VBool(False):
+        if s["detected"] == _FALSE:
             return True
-        return all(v == VBool(False) for _, v in s["active"].fields)
+        return all(v == _FALSE for _, v in s["active"].fields)
 
     return Spec(
         variables=("token", "active", "detected"),

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from ..machine import ActionSchema, GuardClause, Spec, SpecState
 from ..tracer import InMemoryClock, Tracer
-from ..values import Value, VRec, VSet, VStr
+from ..values import VRec, VSet, VStr
 from .common import RECORD_LEVELS, Recorder, RunResult, finalize_run
 from .sim import SimNetwork, SimScheduler
 
@@ -41,14 +41,8 @@ def _prepared_msg(rm: str) -> VRec:
 
 _COMMIT_MSG = VRec([("type", VStr("Commit"))])
 _ABORT_MSG = VRec([("type", VStr("Abort"))])
-
-
-def _rec_set(rec: VRec, key: str, val: Value) -> VRec:
-    return VRec([(k, val if k == key else v) for k, v in rec.fields])
-
-
-def _set_add(s: VSet, elem: Value) -> VSet:
-    return VSet(s.items + (elem,))
+_INIT = VStr("init")
+_DONE = VStr("done")
 
 
 def build_twophase_spec(rms) -> Spec:
@@ -56,6 +50,10 @@ def build_twophase_spec(rms) -> Spec:
     rm_names = tuple(rms)
     rm_dom = tuple(VStr(r) for r in rm_names)
     all_rms = VSet(rm_dom)
+    # Built once per spec, so guards and effects look messages up
+    # instead of rebuilding them.
+    prepared_msg = {r: _prepared_msg(r) for r in rm_names}
+    rm_state = {x: VStr(x) for x in RM_STATES}
 
     init = SpecState({
         "rmState": VRec([(r, VStr("working")) for r in rm_names]),
@@ -65,44 +63,41 @@ def build_twophase_spec(rms) -> Spec:
     })
 
     def rm_state_is(state_name: str):
-        return lambda s, p: s["rmState"][p["r"].text] == VStr(state_name)
+        want = rm_state[state_name]
+        return lambda s, p: s["rmState"][p["r"].text] == want
+
+    def set_rm_state(s: SpecState, p, state_name: str) -> VRec:
+        return s["rmState"].replaced(p["r"].text, rm_state[state_name])
 
     tm_undecided = GuardClause(
-        'tmState = "init"', lambda s, p: s["tmState"] == VStr("init"))
+        'tmState = "init"', lambda s, p: s["tmState"] == _INIT)
 
     actions = [
         ActionSchema(
             "RMPrepare", (("r", rm_dom),),
             (GuardClause('rmState[r] = "working"', rm_state_is("working")),),
             lambda s, p: [{
-                "rmState": _rec_set(s["rmState"], p["r"].text,
-                                    VStr("prepared")),
-                "msgs": _set_add(s["msgs"], _prepared_msg(p["r"].text)),
+                "rmState": set_rm_state(s, p, "prepared"),
+                "msgs": s["msgs"].with_element(prepared_msg[p["r"].text]),
             }]),
         ActionSchema(
             "RMRcvCommitMsg", (("r", rm_dom),),
             (GuardClause("a Commit message is in msgs",
                          lambda s, p: _COMMIT_MSG in s["msgs"]),),
-            lambda s, p: [{
-                "rmState": _rec_set(s["rmState"], p["r"].text,
-                                    VStr("committed")),
-            }]),
+            lambda s, p: [{"rmState": set_rm_state(s, p, "committed")}]),
         ActionSchema(
             "RMRcvAbortMsg", (("r", rm_dom),),
             (GuardClause("an Abort message is in msgs",
                          lambda s, p: _ABORT_MSG in s["msgs"]),),
-            lambda s, p: [{
-                "rmState": _rec_set(s["rmState"], p["r"].text,
-                                    VStr("aborted")),
-            }]),
+            lambda s, p: [{"rmState": set_rm_state(s, p, "aborted")}]),
         ActionSchema(
             "TMRcvPrepared", (("r", rm_dom),),
             (tm_undecided,
              GuardClause("a Prepared message from r is in msgs",
                          lambda s, p:
-                         _prepared_msg(p["r"].text) in s["msgs"])),
+                         prepared_msg[p["r"].text] in s["msgs"])),
             lambda s, p: [{
-                "tmPrepared": _set_add(s["tmPrepared"], p["r"]),
+                "tmPrepared": s["tmPrepared"].with_element(p["r"]),
             }]),
         ActionSchema(
             "TMCommit", (),
@@ -110,19 +105,19 @@ def build_twophase_spec(rms) -> Spec:
              GuardClause("every RM is in tmPrepared",
                          lambda s, p: s["tmPrepared"] == all_rms)),
             lambda s, p: [{
-                "tmState": VStr("done"),
-                "msgs": _set_add(s["msgs"], _COMMIT_MSG),
+                "tmState": _DONE,
+                "msgs": s["msgs"].with_element(_COMMIT_MSG),
             }]),
         ActionSchema(
             "TMAbort", (),
             (tm_undecided,),
             lambda s, p: [{
-                "tmState": VStr("done"),
-                "msgs": _set_add(s["msgs"], _ABORT_MSG),
+                "tmState": _DONE,
+                "msgs": s["msgs"].with_element(_ABORT_MSG),
             }]),
     ]
 
-    legal = tuple(VStr(x) for x in RM_STATES)
+    legal = tuple(rm_state.values())
 
     def type_ok(s: SpecState) -> bool:
         rec = s["rmState"]
@@ -132,8 +127,8 @@ def build_twophase_spec(rms) -> Spec:
 
     def consistent(s: SpecState) -> bool:
         states = [v for _, v in s["rmState"].fields]
-        aborted = any(v == VStr("aborted") for v in states)
-        committed = any(v == VStr("committed") for v in states)
+        aborted = any(v == rm_state["aborted"] for v in states)
+        committed = any(v == rm_state["committed"] for v in states)
         return not (aborted and committed)
 
     return Spec(

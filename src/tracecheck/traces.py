@@ -1,7 +1,7 @@
 """NDJSON trace files: schema, parsing, serialization, merging.
 
 One trace entry per line.  Reserved keys are ``clock`` (required,
-integer >= 0), ``event`` (string) and ``event_args`` (array of
+integer in 0..2^63-1), ``event`` (string) and ``event_args`` (array of
 strings); every other key names a variable and maps to a non-empty
 array of update objects ``{"op": str, "path": [...], "args": [...]}``.
 Keys that merely resemble reserved ones ("Event", "Clock") are
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from .errors import ParseError, SchemaError
-from .values import (OP_NAMES, UpdateOp, jsonable_to_value,
+from .values import (I64_MAX, OP_NAMES, UpdateOp, jsonable_to_value,
                      value_to_jsonable)
 
 RESERVED_KEYS = ("clock", "event", "event_args")
@@ -65,7 +65,8 @@ def _is_int(x: Any) -> bool:
 def validate_entry(obj: Any, line: int = 0) -> None:
     """Raise SchemaError unless ``obj`` is a valid entry object.
 
-    Checks exactly the wire schema: clock integer >= 0 required; event
+    Checks exactly the wire schema: clock integer in 0..2^63-1
+    required (the 64-bit signed range values live in); event
     a string; event_args an array of strings; any other key an array
     (>= 1 items) of objects carrying op (string), path (array) and
     args (array).
@@ -77,6 +78,9 @@ def validate_entry(obj: Any, line: int = 0) -> None:
                           field="clock")
     if not _is_int(obj["clock"]) or obj["clock"] < 0:
         raise SchemaError("'clock' must be an integer >= 0", line=line,
+                          field="clock")
+    if obj["clock"] > I64_MAX:
+        raise SchemaError("'clock' must be at most 2^63-1", line=line,
                           field="clock")
     if "event" in obj and not isinstance(obj["event"], str):
         raise SchemaError("'event' must be a string", line=line,
@@ -166,6 +170,9 @@ def parse_ndjson(text: str, source: str | None = None) -> Trace:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ParseError(f"malformed JSON: {exc}", line=lineno) from None
+        except RecursionError:
+            raise ParseError("value nested too deeply",
+                             line=lineno) from None
         entries.append(_entry_from_obj(obj, lineno, source))
     return Trace(entries)
 

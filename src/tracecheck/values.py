@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Any, Iterable, Sequence
 
 from .errors import BagUnderflow, OpTypeError, ParseError, PathError, UnknownOp
@@ -128,6 +130,18 @@ class VSeq(Value):
         return len(self.items)
 
 
+# Lookups binary-search the order a container already keeps.  Set
+# elements and bag elements are sorted by canonical bytes when the
+# container is built, so their bytes are always cached and the search
+# key can read ``_canon`` directly; record fields are sorted by key.
+_elem_canon = attrgetter("_canon")
+_field_key = itemgetter(0)
+
+
+def _pair_canon(pair: tuple[Value, int]) -> bytes:
+    return pair[0]._canon
+
+
 class VSet(Value):
     """Finite set; elements are deduplicated and kept in canonical order."""
 
@@ -149,8 +163,39 @@ class VSet(Value):
     def __len__(self) -> int:
         return len(self.items)
 
+    @classmethod
+    def _of_sorted(cls, items: tuple[Value, ...]) -> "VSet":
+        """Wrap elements already deduplicated and in canonical order."""
+        out = object.__new__(cls)
+        out._canon = None
+        out.items = items
+        return out
+
+    def _find(self, x: Value) -> tuple[int, bool]:
+        """Insertion index of x, and whether x is already there."""
+        key = x.canonical()
+        items = self.items
+        i = bisect_left(items, key, key=_elem_canon)
+        return i, i < len(items) and items[i]._canon == key
+
     def __contains__(self, x: Value) -> bool:
-        return any(x == y for y in self.items)
+        return isinstance(x, Value) and self._find(x)[1]
+
+    def with_element(self, x: Value) -> "VSet":
+        """This set plus x, inserted in place (self if already there)."""
+        i, found = self._find(_require_value(x))
+        if found:
+            return self
+        items = self.items
+        return VSet._of_sorted(items[:i] + (x,) + items[i:])
+
+    def without_element(self, x: Value) -> "VSet":
+        """This set minus x (self if x is absent)."""
+        i, found = self._find(_require_value(x))
+        if not found:
+            return self
+        items = self.items
+        return VSet._of_sorted(items[:i] + items[i + 1:])
 
 
 class VBag(Value):
@@ -179,11 +224,46 @@ class VBag(Value):
         body = b"".join(b"%s*%d;" % (e.canonical(), c) for e, c in self.pairs)
         return b"B[" + body + b"]"
 
+    @classmethod
+    def _of_sorted(cls, pairs: tuple[tuple[Value, int], ...]) -> "VBag":
+        """Wrap positive-count pairs already in canonical element order."""
+        out = object.__new__(cls)
+        out._canon = None
+        out.pairs = pairs
+        return out
+
+    def _find(self, x: Value) -> tuple[int, bool]:
+        """Insertion index of x, and whether x is already there."""
+        key = x.canonical()
+        pairs = self.pairs
+        i = bisect_left(pairs, key, key=_pair_canon)
+        return i, i < len(pairs) and pairs[i][0]._canon == key
+
     def count(self, x: Value) -> int:
-        for elem, c in self.pairs:
-            if elem == x:
-                return c
-        return 0
+        if not isinstance(x, Value):
+            return 0
+        i, found = self._find(x)
+        return self.pairs[i][1] if found else 0
+
+    def with_element(self, x: Value) -> "VBag":
+        """This bag with one more x."""
+        i, found = self._find(_require_value(x))
+        pairs = self.pairs
+        if found:
+            mid = ((pairs[i][0], pairs[i][1] + 1),)
+            return VBag._of_sorted(pairs[:i] + mid + pairs[i + 1:])
+        return VBag._of_sorted(pairs[:i] + ((x, 1),) + pairs[i:])
+
+    def without_one(self, x: Value) -> "VBag":
+        """This bag with one x fewer; BagUnderflow if x is absent."""
+        i, found = self._find(_require_value(x))
+        if not found:
+            raise BagUnderflow(
+                f"RemoveFromBag: element not in bag: {value_to_json(x)}")
+        pairs = self.pairs
+        elem, c = pairs[i]
+        mid = ((elem, c - 1),) if c > 1 else ()
+        return VBag._of_sorted(pairs[:i] + mid + pairs[i + 1:])
 
     def __len__(self) -> int:
         return sum(c for _, c in self.pairs)
@@ -213,14 +293,33 @@ class VRec(Value):
             parts.append(b"k%d:%s=%s" % (len(raw), raw, v.canonical()))
         return b"R{" + b"".join(parts) + b"}"
 
+    @classmethod
+    def _of_sorted(cls, fields: tuple[tuple[str, Value], ...]) -> "VRec":
+        """Wrap fields already in key order, with distinct keys."""
+        out = object.__new__(cls)
+        out._canon = None
+        out.fields = fields
+        return out
+
     def keys(self) -> tuple[str, ...]:
         return tuple(k for k, _ in self.fields)
 
     def get(self, key: str) -> Value | None:
-        for k, v in self.fields:
-            if k == key:
-                return v
+        fields = self.fields
+        i = bisect_left(fields, key, key=_field_key)
+        if i < len(fields) and fields[i][0] == key:
+            return fields[i][1]
         return None
+
+    def replaced(self, key: str, value: Value) -> "VRec":
+        """This record with field ``key`` set to ``value``; KeyError if
+        the field does not exist."""
+        fields = self.fields
+        i = bisect_left(fields, key, key=_field_key)
+        if i == len(fields) or fields[i][0] != key:
+            raise KeyError(key)
+        return VRec._of_sorted(
+            fields[:i] + ((key, _require_value(value)),) + fields[i + 1:])
 
     def __getitem__(self, key: str) -> Value:
         v = self.get(key)
@@ -285,7 +384,17 @@ def value_to_jsonable(v: Value) -> Any:
 
 
 def jsonable_to_value(obj: Any) -> Value:
-    """Decode parsed JSON.  Arrays become Seq; see the module docstring."""
+    """Decode parsed JSON.  Arrays become Seq; see the module docstring.
+
+    Nesting too deep for the interpreter's stack is a ParseError.
+    """
+    try:
+        return _decode(obj)
+    except RecursionError:
+        raise ParseError("value nested too deeply") from None
+
+
+def _decode(obj: Any) -> Value:
     if isinstance(obj, bool):
         return VBool(obj)
     if isinstance(obj, int):
@@ -299,9 +408,9 @@ def jsonable_to_value(obj: Any) -> Value:
     if obj is None:
         raise ParseError("null is not a supported value")
     if isinstance(obj, list):
-        return VSeq(jsonable_to_value(x) for x in obj)
+        return VSeq(_decode(x) for x in obj)
     if isinstance(obj, dict):
-        return VRec((k, jsonable_to_value(v)) for k, v in obj.items())
+        return VRec((k, _decode(v)) for k, v in obj.items())
     raise ParseError(f"unsupported JSON construct: {type(obj).__name__}")
 
 
@@ -316,6 +425,8 @@ def json_to_value(text: str) -> Value:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("value nested too deeply") from None
     return jsonable_to_value(obj)
 
 
@@ -393,28 +504,23 @@ def _apply_here(v: Value, op: str, args: tuple[Value, ...]) -> Value:
         _arity(op, args, 1)
         if not isinstance(v, VSet):
             raise OpTypeError(f"Add needs a set, got {type(v).__name__}")
-        return VSet(v.items + (args[0],))
+        return v.with_element(args[0])
     if op == "Remove":
         _arity(op, args, 1)
         if not isinstance(v, VSet):
             raise OpTypeError(f"Remove needs a set, got {type(v).__name__}")
-        return VSet(x for x in v.items if x != args[0])
+        return v.without_element(args[0])
     if op == "AddToBag":
         _arity(op, args, 1)
         if not isinstance(v, VBag):
             raise OpTypeError(f"AddToBag needs a bag, got {type(v).__name__}")
-        return VBag(v.pairs + ((args[0], 1),))
+        return v.with_element(args[0])
     if op == "RemoveFromBag":
         _arity(op, args, 1)
         if not isinstance(v, VBag):
             raise OpTypeError(
                 f"RemoveFromBag needs a bag, got {type(v).__name__}")
-        if v.count(args[0]) == 0:
-            raise BagUnderflow(
-                f"RemoveFromBag: element not in bag: {value_to_json(args[0])}")
-        return VBag((e, c - 1 if e == args[0] else c)
-                    for e, c in v.pairs
-                    if not (e == args[0] and c == 1))
+        return v.without_one(args[0])
     if op == "Clear":
         _arity(op, args, 0)
         if isinstance(v, VSet):
@@ -447,7 +553,7 @@ def apply_update(v: Value, u: UpdateOp) -> Value:
     if sub is None:
         raise PathError(f"record has no field {head!r}")
     new_sub = apply_update(sub, UpdateOp(u.op, rest, u.args))
-    return VRec((k, new_sub if k == head else old) for k, old in v.fields)
+    return v.replaced(head, new_sub)
 
 
 def apply_entry_updates(v: Value, updates: Sequence[UpdateOp]) -> Value:

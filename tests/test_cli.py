@@ -241,6 +241,35 @@ def test_schema_check_truncates_long_problem_lists(tmp_path, capsys):
     assert "and 10 more problem(s)" in out
 
 
+def _deep_entry(depth: int) -> str:
+    value = "[" * depth + "1" + "]" * depth
+    return ('{"clock": 1, "msgs": [{"op": "Update", "path": [], '
+            '"args": [%s]}], "event": "TMAbort"}\n' % value)
+
+
+def test_deeply_nested_values_exit_three_without_traceback(tmp_path,
+                                                           capsys):
+    deep = tmp_path / "deep.ndjson"
+    deep.write_text(_deep_entry(3000))
+    for argv in (["validate", "--spec", "twophase:2", "--trace", str(deep)],
+                 ["schema-check", str(deep)]):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 3, argv
+        assert "nested too deeply" in err
+
+
+def test_clock_beyond_64_bits_is_rejected(tmp_path, capsys):
+    big = tmp_path / "big.ndjson"
+    big.write_text('{"clock": %d, "event": "TMAbort"}\n' % 2**70)
+    code, _, err = run_cli(
+        ["validate", "--spec", "twophase:2", "--trace", str(big)], capsys)
+    assert code == 3
+    assert "clock" in err
+    code, out, _ = run_cli(["schema-check", str(big)], capsys)
+    assert code == 1
+    assert "line 1: 'clock' must be at most 2^63-1" in out
+
+
 def test_console_script_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "tracecheck.cli", "run", "twophase",

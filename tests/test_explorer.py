@@ -1,5 +1,6 @@
 """Trace exploration: matching, search, oracle agreement, reporting."""
 
+import dataclasses
 import random
 
 import pytest
@@ -25,9 +26,11 @@ from tracecheck import (
 )
 from tracecheck.machine import ComposedAction
 from tracecheck.protocols import (
+    TokenRingConfig,
     TwoPhaseConfig,
     build_twophase_spec,
     rm_names,
+    run_tokenring,
     run_twophase,
 )
 from tracecheck.values import VBool, VInt, VSet, VStr, mk
@@ -591,3 +594,40 @@ def test_explored_dot_accepted_has_no_blocked_node():
                      event_args=["1"])])
     dot = explored_dot(validate(spec, t), t)
     assert "blocked" not in dot
+
+
+@pytest.mark.parametrize("level", ["e", "ea", "v"])
+def test_validate_agrees_with_oracle_on_seeded_protocol_runs(tmp_path,
+                                                             level):
+    # Faithful and bug runs of both protocols, plus a copy of each
+    # trace with one middle entry dropped.  Levels e and ea pin
+    # actions (and their rendered arguments); level v leaves every
+    # entry event-less.
+    cases = []
+    for seed in range(5):
+        for bug in (None, "counter"):
+            extra = (dict(bug=bug, force_resend=True,
+                          resend_logging="silent") if bug else {})
+            cases.append(run_twophase(
+                TwoPhaseConfig(rms=rm_names(3), seed=seed, record=level,
+                               **extra),
+                tmp_path / f"tp-{seed}-{bug}"))
+        for bug in (None, "self-message", "eternal-token"):
+            cases.append(run_tokenring(
+                TokenRingConfig(n=4, seed=seed, record=level, bug=bug),
+                tmp_path / f"tr-{seed}-{bug}"))
+    verdicts = set()
+    for res in cases:
+        entries = list(res.trace)
+        dropped = Trace(entries[:len(entries) // 2]
+                        + entries[len(entries) // 2 + 1:])
+        cfg = ExplorerConfig(allow_stutter=level == "v",
+                             composition=res.composition)
+        for trace in (res.trace, dropped):
+            want = oracle_validate(res.spec, trace, cfg)
+            verdicts.add(want)
+            for search in ("bfs", "dfs"):
+                got = validate(res.spec, trace,
+                               dataclasses.replace(cfg, search=search))
+                assert got.accepted == want, (res.out_dir, search)
+    assert verdicts == {True, False}

@@ -35,6 +35,9 @@ def test_clock_is_required_and_integer():
     bad({"clock": True}, "clock")
     bad({"clock": -1}, "clock")
     bad({"clock": 1.0}, "clock")
+    bad({"clock": 2**63}, "clock")
+    bad({"clock": 2**70}, "clock")
+    ok({"clock": 2**63 - 1})
     ok({"clock": 0, "event": "E"})
 
 
@@ -189,3 +192,12 @@ def test_merge_tie_break_prefers_earlier_trace():
     m = merge([a, b], labels=["left", "right"])
     assert [e.event for e in m] == ["A", "B"]
     assert [e.source for e in m] == ["left", "right"]
+
+
+def test_nesting_too_deep_for_the_stack_is_a_parse_error():
+    deep = "[" * 3000 + "1" + "]" * 3000
+    line = ('{"clock": 1, "x": [{"op": "Update", "path": [], "args": [%s]}]}'
+            % deep)
+    with pytest.raises(ParseError) as err:
+        parse_ndjson('{"clock": 0}\n' + line + "\n")
+    assert err.value.line == 2
