@@ -81,8 +81,12 @@ class _Compiled:
 
     def __init__(self, spec: Spec, cfg: ExplorerConfig):
         self.composition = _check_composition(spec, cfg)
-        self._all: dict[str, list[tuple[Value, ...]]] = {}
-        self._rendered: dict[str, list[tuple[str, ...]]] = {}
+        self._domains: dict[str, tuple[list[tuple[Value, ...]],
+                                       list[tuple[str, ...]]]] = {}
+        for schema in spec.actions:
+            vals = list(schema.valuations())
+            self._domains[schema.name] = (
+                vals, [tuple(map(render_event_arg, v)) for v in vals])
         self._pinned: dict[tuple[str, tuple[str, ...]],
                            list[tuple[Value, ...]]] = {}
 
@@ -91,23 +95,15 @@ class _Compiled:
                    ) -> list[tuple[Value, ...]]:
         """The schema's valuations in domain product order, keeping
         those whose leading parameters render as ``event_args``."""
-        name = schema.name
-        out = self._all.get(name)
-        if out is None:
-            out = self._all[name] = list(schema.valuations())
+        vals, rendered = self._domains[schema.name]
         if not event_args:
-            return out
-        key = (name, tuple(event_args))
+            return vals
+        key = (schema.name, tuple(event_args))
         pinned = self._pinned.get(key)
         if pinned is None:
-            rendered = self._rendered.get(name)
-            if rendered is None:
-                rendered = self._rendered[name] = [
-                    tuple(map(render_event_arg, vals)) for vals in out]
             n = len(key[1])
             pinned = self._pinned[key] = [
-                vals for vals, text in zip(out, rendered)
-                if text[:n] == key[1]]
+                v for v, text in zip(vals, rendered) if text[:n] == key[1]]
         return pinned
 
 

@@ -189,14 +189,6 @@ class VSet(Value):
         items = self.items
         return VSet._of_sorted(items[:i] + (x,) + items[i:])
 
-    def without_element(self, x: Value) -> "VSet":
-        """This set minus x (self if x is absent)."""
-        i, found = self._find(_require_value(x))
-        if not found:
-            return self
-        items = self.items
-        return VSet._of_sorted(items[:i] + items[i + 1:])
-
 
 class VBag(Value):
     """Multiset; counts are strictly positive."""
@@ -224,46 +216,15 @@ class VBag(Value):
         body = b"".join(b"%s*%d;" % (e.canonical(), c) for e, c in self.pairs)
         return b"B[" + body + b"]"
 
-    @classmethod
-    def _of_sorted(cls, pairs: tuple[tuple[Value, int], ...]) -> "VBag":
-        """Wrap positive-count pairs already in canonical element order."""
-        out = object.__new__(cls)
-        out._canon = None
-        out.pairs = pairs
-        return out
-
-    def _find(self, x: Value) -> tuple[int, bool]:
-        """Insertion index of x, and whether x is already there."""
-        key = x.canonical()
-        pairs = self.pairs
-        i = bisect_left(pairs, key, key=_pair_canon)
-        return i, i < len(pairs) and pairs[i][0]._canon == key
-
     def count(self, x: Value) -> int:
         if not isinstance(x, Value):
             return 0
-        i, found = self._find(x)
-        return self.pairs[i][1] if found else 0
-
-    def with_element(self, x: Value) -> "VBag":
-        """This bag with one more x."""
-        i, found = self._find(_require_value(x))
+        key = x.canonical()
         pairs = self.pairs
-        if found:
-            mid = ((pairs[i][0], pairs[i][1] + 1),)
-            return VBag._of_sorted(pairs[:i] + mid + pairs[i + 1:])
-        return VBag._of_sorted(pairs[:i] + ((x, 1),) + pairs[i:])
-
-    def without_one(self, x: Value) -> "VBag":
-        """This bag with one x fewer; BagUnderflow if x is absent."""
-        i, found = self._find(_require_value(x))
-        if not found:
-            raise BagUnderflow(
-                f"RemoveFromBag: element not in bag: {value_to_json(x)}")
-        pairs = self.pairs
-        elem, c = pairs[i]
-        mid = ((elem, c - 1),) if c > 1 else ()
-        return VBag._of_sorted(pairs[:i] + mid + pairs[i + 1:])
+        i = bisect_left(pairs, key, key=_pair_canon)
+        if i < len(pairs) and pairs[i][0]._canon == key:
+            return pairs[i][1]
+        return 0
 
     def __len__(self) -> int:
         return sum(c for _, c in self.pairs)
@@ -509,18 +470,23 @@ def _apply_here(v: Value, op: str, args: tuple[Value, ...]) -> Value:
         _arity(op, args, 1)
         if not isinstance(v, VSet):
             raise OpTypeError(f"Remove needs a set, got {type(v).__name__}")
-        return v.without_element(args[0])
+        return VSet(x for x in v.items if x != args[0])
     if op == "AddToBag":
         _arity(op, args, 1)
         if not isinstance(v, VBag):
             raise OpTypeError(f"AddToBag needs a bag, got {type(v).__name__}")
-        return v.with_element(args[0])
+        return VBag(v.pairs + ((args[0], 1),))
     if op == "RemoveFromBag":
         _arity(op, args, 1)
         if not isinstance(v, VBag):
             raise OpTypeError(
                 f"RemoveFromBag needs a bag, got {type(v).__name__}")
-        return v.without_one(args[0])
+        if v.count(args[0]) == 0:
+            raise BagUnderflow(
+                f"RemoveFromBag: element not in bag: {value_to_json(args[0])}")
+        return VBag((e, c - 1 if e == args[0] else c)
+                    for e, c in v.pairs
+                    if not (e == args[0] and c == 1))
     if op == "Clear":
         _arity(op, args, 0)
         if isinstance(v, VSet):

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import strategies as st
-
 from tracecheck import (TraceEntry, UpdateOp, VBag, VBool, VInt, VRec, VSeq,
                         VSet, VStr, mk)
 
@@ -94,27 +92,3 @@ def gen_entry(rng: random.Random, clock: int) -> TraceEntry:
 def mkv(obj):
     """Shorthand for building Values from plain Python data."""
     return mk(obj)
-
-
-# Hypothesis strategy for nested Values.  Small alphabets and ranges
-# make equal elements, keys and bag entries common.
-_scalar_values = st.one_of(
-    st.text(alphabet="ab\"é", max_size=3).map(VStr),
-    st.one_of(st.integers(-3, 3),
-              st.integers(I64_MIN, I64_MAX)).map(VInt),
-    st.booleans().map(VBool),
-)
-
-
-def _containers(children):
-    return st.one_of(
-        st.lists(children, max_size=4).map(VSeq),
-        st.lists(children, max_size=4).map(VSet),
-        st.lists(st.tuples(children, st.integers(1, 3)),
-                 max_size=4).map(VBag),
-        st.dictionaries(st.text(alphabet="ab", max_size=2), children,
-                        max_size=3).map(lambda d: VRec(d.items())),
-    )
-
-
-values = st.recursive(_scalar_values, _containers, max_leaves=10)

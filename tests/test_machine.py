@@ -1,9 +1,6 @@
 """State-machine layer: guards, effects, composition, exploration."""
 
 import pytest
-from conftest import values
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tracecheck import (
     ActionSchema,
@@ -262,22 +259,6 @@ def test_export_dot_labels_parameterized_edges():
     spec = build_twophase_spec(rm_names(1))
     dot = export_dot(spec)
     assert 'RMPrepare(\\"rm-0\\")' in dot
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.dictionaries(st.sampled_from(("x", "y", "xy", "")),
-                                values, max_size=3),
-                min_size=2, max_size=4))
-def test_spec_state_key_is_equal_exactly_when_bindings_are_equal(maps):
-    # States over different variable sets, and states derived with
-    # updated() (which share their parent's variable order), included.
-    states = [SpecState(m) for m in maps]
-    states += [states[0].updated(m) for m in maps[1:]]
-    for a in states:
-        for b in states:
-            same = a.bindings == b.bindings
-            assert (a.fingerprint() == b.fingerprint()) == same
-            assert (a == b) == same
 
 
 def test_spec_state_key_separates_variable_names():

@@ -6,9 +6,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import I64_MAX, I64_MIN, gen_value, has_set_or_bag, values
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from conftest import I64_MAX, I64_MIN, gen_value, has_set_or_bag
 
 from tracecheck import (BagUnderflow, OpTypeError, ParseError, PathError,
                         UnknownOp, UpdateOp, VBag, VBool, VInt, VRec, VSeq,
@@ -299,78 +297,6 @@ def test_thousand_generated_values_hold_core_properties():
             (w.canonical() == v.canonical())
         seen.add(fingerprint(v))
     assert len(seen) > 500  # the generator is actually diverse
-
-
-# --- sorted-order lookups and in-place updates ---------------------------
-
-def _linear_contains(s: VSet, x) -> bool:
-    return any(x == y for y in s.items)
-
-
-def _linear_count(b: VBag, x) -> int:
-    for elem, c in b.pairs:
-        if elem == x:
-            return c
-    return 0
-
-
-def _linear_get(r: VRec, key: str):
-    for k, v in r.fields:
-        if k == key:
-            return v
-    return None
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(values, max_size=6), values)
-def test_set_and_bag_lookups_agree_with_linear_scans(elems, probe):
-    s = VSet(elems)
-    bag = VBag((e, 1 + i % 3) for i, e in enumerate(elems))
-    for x in (probe, *elems, *s.items):
-        assert (x in s) == _linear_contains(s, x)
-        assert bag.count(x) == _linear_count(bag, x)
-    assert "not a value" not in s
-    assert bag.count("not a value") == 0
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.text(alphabet="abc", max_size=3), values,
-                       max_size=6),
-       st.text(alphabet="abc", max_size=3))
-def test_record_get_agrees_with_linear_scan(fields, probe):
-    r = VRec(fields.items())
-    for key in (probe, *fields):
-        got, want = r.get(key), _linear_get(r, key)
-        assert got is want
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(values, max_size=6), values)
-def test_in_place_updates_match_a_full_rebuild(elems, x):
-    s = VSet(elems)
-    added, removed = s.with_element(x), s.without_element(x)
-    assert added.items == VSet(s.items + (x,)).items
-    assert added.canonical() == VSet(s.items + (x,)).canonical()
-    assert removed.canonical() == VSet(
-        y for y in s.items if y != x).canonical()
-
-    bag = VBag((e, 1 + i % 3) for i, e in enumerate(elems))
-    assert bag.with_element(x).canonical() == \
-        VBag(bag.pairs + ((x, 1),)).canonical()
-    if bag.count(x):
-        assert bag.without_one(x).canonical() == VBag(
-            (e, c - 1 if e == x else c) for e, c in bag.pairs
-            if not (e == x and c == 1)).canonical()
-    else:
-        with pytest.raises(BagUnderflow):
-            bag.without_one(x)
-
-    r = VRec((f"k{i}", e) for i, e in enumerate(elems))
-    for k in r.keys():
-        assert r.replaced(k, x).canonical() == VRec(
-            (f, x if f == k else v) for f, v in r.fields).canonical()
-    with pytest.raises(KeyError):
-        r.replaced("missing", x)
 
 
 def test_nesting_too_deep_for_the_stack_is_a_parse_error():
