@@ -14,8 +14,8 @@ from .explorer import (STUTTER, Attempt, ExplorerConfig, FailureReport,
                        Match, Verdict, WitnessStep, explain, explored_dot,
                        match_entry, oracle_validate, validate)
 from .machine import (ActionSchema, ComposedAction, GuardClause, Spec,
-                      SpecState, check_invariant, enabled_instances,
-                      explore, export_dot, next_states, step, step_composed)
+                      SpecState, check_invariant, explore, export_dot,
+                      next_states, step)
 from .tracer import (TRACE_PATH_ENV, Clock, ExplicitClock, FileBasedClock,
                      InMemoryClock, Tracer, VirtualField, get_tracer)
 from .traces import (Trace, TraceEntry, merge, parse_ndjson,
@@ -48,8 +48,7 @@ __all__ = [
     "FileBasedClock", "ExplicitClock", "TRACE_PATH_ENV",
     # machine
     "SpecState", "GuardClause", "ActionSchema", "ComposedAction", "Spec",
-    "step", "step_composed", "enabled_instances", "check_invariant",
-    "next_states", "explore", "export_dot",
+    "step", "check_invariant", "next_states", "explore", "export_dot",
     # explorer
     "STUTTER", "ExplorerConfig", "Match", "Attempt", "FailureReport",
     "WitnessStep", "Verdict", "match_entry", "validate", "oracle_validate",

@@ -21,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ParseError, TracecheckError
+from .errors import TracecheckError
 from .explorer import ExplorerConfig, explain, explored_dot, validate
 from .machine import Spec
 from .protocols import (TokenRingConfig, TwoPhaseConfig,
@@ -29,7 +29,8 @@ from .protocols import (TokenRingConfig, TwoPhaseConfig,
                         run_tokenring, run_twophase)
 from .protocols.common import RECORD_LEVELS
 from .tracer import TRACE_PATH_ENV
-from .traces import merge, read_trace_file, serialize_trace, validate_entry
+from .traces import (TOO_DEEP, decode_line, merge, read_trace_file,
+                     serialize_trace)
 
 EXIT_ACCEPTED = 0
 EXIT_REJECTED = 1
@@ -102,13 +103,21 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
     raise UsageError(f"{flag} expects LO,HI or a single number, got {text!r}")
 
 
+def _input_error(path: str, exc: TracecheckError) -> UsageError:
+    """``path: line N: message``, or ``path: message`` when the error
+    has no line."""
+    line = getattr(exc, "line", 0)
+    where = f"{path}: line {line}" if line else path
+    return UsageError(f"{where}: {exc}")
+
+
 def _read_trace(path: str):
     try:
         return read_trace_file(path)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     except TracecheckError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+        raise _input_error(path, exc) from None
 
 
 def _only_unknown_events(verdict) -> bool:
@@ -217,16 +226,10 @@ def _cmd_schema_check(args) -> int:
             continue
         total += 1
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append((lineno, f"not valid JSON: {exc}"))
-            continue
-        except RecursionError:
-            raise ParseError(f"{args.file}: line {lineno}: value nested "
-                             "too deeply", line=lineno) from None
-        try:
-            validate_entry(obj, line=lineno)
+            decode_line(line, lineno)
         except TracecheckError as exc:
+            if str(exc) == TOO_DEEP:
+                raise _input_error(args.file, exc) from None
             problems.append((lineno, str(exc)))
     shown = problems[:20]
     for lineno, msg in shown:

@@ -24,6 +24,8 @@ collision can merge distinct nodes.
 Work fixed for a whole validation is done once, in ``_Compiled``: the
 composition map is checked, and each action's valuations are listed
 and rendered to event-arg strings, so a node only looks them up.
+A candidate that fails is kept as an ``Attempt`` of plain facts; its
+text is rendered only when a report reads it.
 """
 
 from __future__ import annotations
@@ -107,27 +109,69 @@ class _Compiled:
         return pinned
 
 
+def step_label(name: str, values: Sequence[Value] | None) -> str:
+    """``name(arg, ...)`` with each value rendered as an event arg, or
+    just ``name`` when there are no values."""
+    if not values:
+        return name
+    return name + "(" + ", ".join(map(render_event_arg, values)) + ")"
+
+
 @dataclass(frozen=True)
 class Attempt:
-    """One candidate that failed to match an entry, and why."""
+    """One candidate that failed to match an entry, and why.
+
+    It holds only facts; ``detail`` renders them as text when it is
+    read, so the attempts of nodes that are never reported cost no
+    rendering.
+    """
 
     candidate: str
     reason: str            # GuardFailed | UpdateMismatch | UpdateError |
                            # CompositionStageFailed | UnknownEvent |
                            # NoCandidateAction
-    detail: str
-    values: tuple[Value, ...] | None = None
+    values: tuple[Value, ...] | None = None  # the action's valuation;
+                                             # None for a composed step
     variable: str | None = None
     expected: Value | None = None
     actual: Value | None = None
     stage: int | None = None
+    stage_name: str | None = None   # action of the stage that cannot fire
+    cause: str | None = None        # the false guard clause's description,
+                                    # or the update's error message
+    event_args: tuple[str, ...] | None = None  # args no valuation renders as
+
+    @property
+    def detail(self) -> str:
+        reason = self.reason
+        if reason == "GuardFailed":
+            return f"guard failed: {self.cause}"
+        if reason == "UpdateMismatch":
+            if self.candidate == STUTTER:
+                return (f"variable {self.variable!r} changes, so the entry "
+                        "is not a stutter")
+            step_kind = "spec" if self.values is not None else "composed"
+            return (f"variable {self.variable!r}: trace updates give "
+                    f"{value_to_json(self.expected)}, {step_kind} step "
+                    f"gives {value_to_json(self.actual)}")
+        if reason == "UpdateError":
+            if self.cause is None:
+                return f"entry updates unknown variable {self.variable!r}"
+            return f"variable {self.variable!r}: {self.cause}"
+        if reason == "CompositionStageFailed":
+            return (f"stage {self.stage} ({self.stage_name}) cannot fire on "
+                    "any intermediate state")
+        if reason == "UnknownEvent":
+            return (f"{UnknownEvent(self.candidate)}; if the implementation "
+                    "fuses several actions into this event, map it in the "
+                    "composition config")
+        if self.event_args is None:
+            return "no candidate action for this entry"
+        return (f"no parameter valuation renders as "
+                f"{list(self.event_args)}")
 
     def describe(self) -> str:
-        head = self.candidate
-        if self.values:
-            head += "(" + ", ".join(render_event_arg(v)
-                                    for v in self.values) + ")"
-        return f"{head}: {self.detail}"
+        return f"{step_label(self.candidate, self.values)}: {self.detail}"
 
 
 @dataclass(frozen=True)
@@ -136,18 +180,11 @@ class Match:
 
     state: SpecState
     name: str                                     # action/composed/STUTTER
-    values: tuple[Value, ...] = ()
+    values: tuple[Value, ...] = ()                # () for composed/STUTTER
     stage_values: tuple[tuple[Value, ...], ...] | None = None
 
     def label(self) -> str:
-        if self.name == STUTTER:
-            return STUTTER
-        if self.stage_values is not None:
-            return self.name
-        if not self.values:
-            return self.name
-        return (self.name + "(" +
-                ", ".join(render_event_arg(v) for v in self.values) + ")")
+        return step_label(self.name, self.values)
 
 
 @dataclass
@@ -221,8 +258,7 @@ class Verdict:
             out["witness"] = [
                 {
                     "entry": w.entry_index,
-                    "step": Match(w.state, w.name, w.values,
-                                  w.stage_values).label(),
+                    "step": step_label(w.name, w.values),
                     "state": {k: value_to_json(v)
                               for k, v in sorted(w.state.bindings.items())},
                 }
@@ -237,36 +273,24 @@ def _expected_values(state: SpecState, entry: TraceEntry
     expected: dict[str, Value] = {}
     for var, ops in entry.updates.items():
         if var not in state:
-            return None, Attempt(
-                candidate="(updates)", reason="UpdateError",
-                detail=f"entry updates unknown variable {var!r}",
-                variable=var)
+            return None, Attempt("(updates)", "UpdateError", variable=var)
         try:
             expected[var] = apply_entry_updates(state[var], ops)
         except TracecheckError as exc:
-            return None, Attempt(
-                candidate="(updates)", reason="UpdateError",
-                detail=f"variable {var!r}: {exc}", variable=var)
+            return None, Attempt("(updates)", "UpdateError", variable=var,
+                                 cause=str(exc))
     return expected, None
 
 
-def _filter_outs(outs: Iterable[SpecState], expected: dict[str, Value]
-                 ) -> tuple[list[SpecState], tuple[str, Value, Value] | None]:
-    """Keep successors agreeing with every recorded variable."""
-    kept = []
-    first_miss: tuple[str, Value, Value] | None = None
-    for t in outs:
-        miss = None
-        for var, want in expected.items():
-            got = t[var]
-            if got != want:
-                miss = (var, want, got)
-                break
-        if miss is None:
-            kept.append(t)
-        elif first_miss is None:
-            first_miss = miss
-    return kept, first_miss
+def _first_miss(state: SpecState, expected: dict[str, Value]
+                ) -> tuple[str, Value, Value] | None:
+    """The first recorded variable ``state`` disagrees with, as
+    (variable, trace value, spec value), or None if it agrees."""
+    for var, want in expected.items():
+        got = state[var]
+        if got != want:
+            return var, want, got
+    return None
 
 
 def _composed_matches(spec: Spec, state: SpecState, comp: ComposedAction,
@@ -331,11 +355,29 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
     attempts: list[Attempt] = []
     seen: set[tuple] = set()
 
-    def keep(m: Match) -> None:
-        fp = m.state.fingerprint()
-        if fp not in seen:
-            seen.add(fp)
-            matches.append(m)
+    def keep_agreeing(name: str, values: tuple[Value, ...] | None,
+                      outs: Iterable[tuple[SpecState, tuple | None]]
+                      ) -> None:
+        """Keep each (state, stage values) that agrees with every
+        recorded variable; if none does, record the first mismatch.
+        ``values`` is None for a composed step and for the stutter."""
+        miss = None
+        kept = False
+        for t, used in outs:
+            m = _first_miss(t, expected)
+            if m is not None:
+                if miss is None:
+                    miss = m
+                continue
+            kept = True
+            fp = t.fingerprint()
+            if fp not in seen:
+                seen.add(fp)
+                matches.append(Match(t, name, values or (), used))
+        if not kept and miss is not None:
+            var, want, got = miss
+            attempts.append(Attempt(name, "UpdateMismatch", values,
+                                    variable=var, expected=want, actual=got))
 
     def try_action(schema: ActionSchema, constrain_args: bool) -> None:
         candidates = compiled.valuations(
@@ -344,55 +386,25 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
             try:
                 outs = step(spec, state, schema.name, vals)
             except GuardFailed as exc:
-                attempts.append(Attempt(
-                    candidate=schema.name, values=vals,
-                    reason="GuardFailed",
-                    detail=f"guard failed: {exc.description}"))
+                attempts.append(Attempt(schema.name, "GuardFailed", vals,
+                                        cause=exc.description))
                 continue
-            kept, miss = _filter_outs(outs, expected)
-            if kept:
-                for t in kept:
-                    keep(Match(t, schema.name, vals))
-            elif miss is not None:
-                var, want, got = miss
-                attempts.append(Attempt(
-                    candidate=schema.name, values=vals,
-                    reason="UpdateMismatch",
-                    detail=(f"variable {var!r}: trace updates give "
-                            f"{value_to_json(want)}, spec step gives "
-                            f"{value_to_json(got)}"),
-                    variable=var, expected=want, actual=got))
+            keep_agreeing(schema.name, vals, [(t, None) for t in outs])
         if constrain_args and not candidates:
-            attempts.append(Attempt(
-                candidate=schema.name, reason="NoCandidateAction",
-                detail=(f"no parameter valuation renders as "
-                        f"{list(entry.event_args or ())}")))
+            attempts.append(Attempt(schema.name, "NoCandidateAction",
+                                    event_args=tuple(entry.event_args or ())))
 
     if entry.event is not None:
         if entry.event in composition:
             comp = composition[entry.event]
             outcomes, deepest = _composed_matches(
                 spec, state, comp, entry.event_args, compiled)
-            kept, miss = _filter_outs([s for s, _ in outcomes], expected)
-            if outcomes and kept:
-                kept_fps = {t.fingerprint() for t in kept}
-                for s, used in outcomes:
-                    if s.fingerprint() in kept_fps:
-                        keep(Match(s, comp.name, (), used))
-            elif not outcomes:
+            if outcomes:
+                keep_agreeing(comp.name, None, outcomes)
+            else:
                 attempts.append(Attempt(
-                    candidate=comp.name, reason="CompositionStageFailed",
-                    stage=deepest,
-                    detail=(f"stage {deepest} ({comp.stages[deepest]}) "
-                            "cannot fire on any intermediate state")))
-            elif miss is not None:
-                var, want, got = miss
-                attempts.append(Attempt(
-                    candidate=comp.name, reason="UpdateMismatch",
-                    detail=(f"variable {var!r}: trace updates give "
-                            f"{value_to_json(want)}, composed step gives "
-                            f"{value_to_json(got)}"),
-                    variable=var, expected=want, actual=got))
+                    comp.name, "CompositionStageFailed", stage=deepest,
+                    stage_name=comp.stages[deepest]))
         else:
             schema = spec.action(entry.event)
             if schema is None:
@@ -402,23 +414,10 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
         for schema in spec.actions:
             try_action(schema, constrain_args=False)
         if cfg.allow_stutter:
-            still = all(state[v] == want for v, want in expected.items())
-            if still:
-                keep(Match(state, STUTTER))
-            else:
-                bad_var = next(v for v, want in expected.items()
-                               if state[v] != want)
-                attempts.append(Attempt(
-                    candidate=STUTTER, reason="UpdateMismatch",
-                    detail=(f"variable {bad_var!r} changes, so the entry "
-                            "is not a stutter"),
-                    variable=bad_var, expected=expected[bad_var],
-                    actual=state[bad_var]))
+            keep_agreeing(STUTTER, None, [(state, None)])
 
     if not matches and not attempts:
-        attempts.append(Attempt(
-            candidate="(none)", reason="NoCandidateAction",
-            detail="no candidate action for this entry"))
+        attempts.append(Attempt("(none)", "NoCandidateAction"))
     return matches, attempts
 
 
@@ -489,11 +488,7 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
                                             compiled)
         except UnknownEvent as exc:
             matches = []
-            attempts = [Attempt(
-                candidate=entry.event or "?", reason="UnknownEvent",
-                detail=(f"{exc}; if the implementation fuses several "
-                        "actions into this event, map it in the "
-                        "composition config"))]
+            attempts = [Attempt(exc.event, "UnknownEvent")]
         if not matches:
             dead.append((nid, attempts))
             continue
@@ -692,8 +687,8 @@ def explain(verdict: Verdict, spec: Spec, trace: Trace,
     if verdict.witness is not None:
         lines.append("witness behavior:")
         for w in verdict.witness:
-            label = Match(w.state, w.name, w.values, w.stage_values).label()
-            lines.append(f"  entry {w.entry_index}: {label}")
+            lines.append(f"  entry {w.entry_index}: "
+                         f"{step_label(w.name, w.values)}")
     if not verdict.accepted and verdict.failures:
         k = verdict.failures[0].entry_index
         entry = trace[k - 1]

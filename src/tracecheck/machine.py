@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import GuardFailed, UnknownInvariant
 from .values import Value, value_to_json
@@ -227,80 +227,6 @@ def step(spec: Spec, state: SpecState, action_name: str,
     return [_complete(spec, state, p) for p in partials]
 
 
-def enabled_instances(spec: Spec,
-                      state: SpecState) -> list[tuple[str, tuple[Value, ...]]]:
-    """Enabled (action, valuation) pairs in deterministic order:
-    actions as declared, valuations in domain product order."""
-    out = []
-    for schema in spec.actions:
-        for values in schema.valuations():
-            if schema.failing_clause(state, schema.bind(values)) is None:
-                out.append((schema.name, values))
-    return out
-
-
-def _chain(spec: Spec, state: SpecState, stages: Sequence[str],
-           stage_values: Sequence[Sequence[Value] | None]
-           ) -> tuple[list[SpecState], int | None]:
-    """Run a stage list from ``state``.
-
-    A stage with ``None`` values ranges over every enabled valuation of
-    its action.  Returns (final states, deepest stage that fired
-    nowhere) -- the stage index is None when some chain completed.
-    """
-    frontier = [state]
-    for idx, stage_name in enumerate(stages):
-        schema = spec.action(stage_name)
-        if schema is None:
-            raise KeyError(f"no action named {stage_name!r}")
-        wanted = stage_values[idx]
-        nxt: list[SpecState] = []
-        seen: set[tuple] = set()
-        for mid in frontier:
-            if wanted is not None:
-                candidates = [tuple(wanted)]
-            else:
-                candidates = [
-                    vals for vals in schema.valuations()
-                    if schema.failing_clause(mid, schema.bind(vals)) is None
-                ]
-            for vals in candidates:
-                try:
-                    outs = step(spec, mid, stage_name, vals)
-                except GuardFailed:
-                    continue
-                for t in outs:
-                    fp = t.fingerprint()
-                    if fp not in seen:
-                        seen.add(fp)
-                        nxt.append(t)
-        if not nxt:
-            return [], idx
-        frontier = nxt
-    return frontier, None
-
-
-def step_composed(spec: Spec, state: SpecState, composed: ComposedAction,
-                  stage_values: Sequence[Sequence[Value] | None] | None = None
-                  ) -> list[SpecState]:
-    """Successors of a composed action: stage 1 from ``state``, each
-    later stage from every intermediate, deduplicated.
-
-    Stage 1 must be able to fire (GuardFailed otherwise, reporting
-    stage 0); a later stage that fires nowhere yields [].
-    """
-    if stage_values is None:
-        stage_values = [None] * len(composed.stages)
-    if len(stage_values) != len(composed.stages):
-        raise ValueError("one value list (or None) per stage required")
-    finals, dead = _chain(spec, state, composed.stages, stage_values)
-    if dead == 0:
-        raise GuardFailed(
-            composed.name,
-            f"stage 0 ({composed.stages[0]}) cannot fire")
-    return finals
-
-
 def check_invariant(spec: Spec, state: SpecState, name: str) -> bool:
     try:
         pred = spec.invariants[name]
@@ -310,12 +236,26 @@ def check_invariant(spec: Spec, state: SpecState, name: str) -> bool:
     return bool(pred(state))
 
 
+def _fired(spec: Spec, state: SpecState
+           ) -> Iterator[tuple[str, tuple[Value, ...], list[SpecState]]]:
+    """(action, valuation, successors) for every enabled instance, in
+    deterministic order: actions as declared, valuations in domain
+    product order.  ``step`` evaluates each guard once."""
+    for schema in spec.actions:
+        for values in schema.valuations():
+            try:
+                outs = step(spec, state, schema.name, values)
+            except GuardFailed:
+                continue
+            yield schema.name, values, outs
+
+
 def next_states(spec: Spec, state: SpecState) -> list[SpecState]:
     """Deduplicated successors under every enabled action instance."""
     out: list[SpecState] = []
     seen: set[tuple] = set()
-    for name, values in enabled_instances(spec, state):
-        for t in step(spec, state, name, values):
+    for _, _, outs in _fired(spec, state):
+        for t in outs:
             fp = t.fingerprint()
             if fp not in seen:
                 seen.add(fp)
@@ -343,8 +283,8 @@ def explore(spec: Spec, max_states: int = 10_000
     cursor = 0
     while cursor < len(states):
         s = states[cursor]
-        for name, values in enabled_instances(spec, s):
-            for t in step(spec, s, name, values):
+        for name, values, outs in _fired(spec, s):
+            for t in outs:
                 fp = t.fingerprint()
                 if fp not in index:
                     if len(states) >= max_states:

@@ -157,24 +157,35 @@ def _entry_from_obj(obj: dict, line: int, source: str | None) -> TraceEntry:
     )
 
 
+TOO_DEEP = "value nested too deeply"
+
+
+def decode_line(raw: str, lineno: int,
+                source: str | None = None) -> TraceEntry:
+    """One NDJSON line as a TraceEntry.
+
+    Raises ParseError for malformed JSON or a value nested too deeply
+    for the stack (message ``TOO_DEEP``), and SchemaError for an entry
+    that breaks the schema or carries an update it cannot decode; both
+    carry ``lineno``.
+    """
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON: {exc}", line=lineno) from None
+    except RecursionError:
+        raise ParseError(TOO_DEEP, line=lineno) from None
+    return _entry_from_obj(obj, lineno, source)
+
+
 def parse_ndjson(text: str, source: str | None = None) -> Trace:
     """Parse NDJSON text into a Trace.  Blank lines are skipped.
 
     Errors carry the 1-based line number.
     """
-    entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed JSON: {exc}", line=lineno) from None
-        except RecursionError:
-            raise ParseError("value nested too deeply",
-                             line=lineno) from None
-        entries.append(_entry_from_obj(obj, lineno, source))
-    return Trace(entries)
+    return Trace([decode_line(raw, lineno, source)
+                  for lineno, raw in enumerate(text.splitlines(), start=1)
+                  if raw.strip()])
 
 
 def read_trace_file(path: str) -> Trace:

@@ -241,6 +241,39 @@ def test_schema_check_truncates_long_problem_lists(tmp_path, capsys):
     assert "and 10 more problem(s)" in out
 
 
+def test_schema_check_lists_entries_validate_rejects(tmp_path, capsys):
+    # Each line passes the wire schema but holds an update that the
+    # trace reader cannot decode, so validate exits 3 on it.
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text('{"clock":0,"x":[{"op":"Update","path":[],"args":[1.5]}]}\n'
+                   '{"clock":1,"x":[{"op":"Update","path":[7],"args":[1]}]}\n'
+                   '{"clock":2,"event":"TMAbort"}\n'
+                   '{"clock":3\n')
+    code, out, _ = run_cli(["schema-check", str(bad)], capsys)
+    assert code == 1
+    assert "line 1: bad arg for 'x': non-integral number" in out
+    assert "line 2: path segment for 'x' must be a string" in out
+    assert "line 3" not in out
+    assert "line 4: malformed JSON" in out
+    assert "3 of 4 entries" in out
+    code, _, err = run_cli(
+        ["validate", "--spec", "twophase:2", "--trace", str(bad)], capsys)
+    assert code == 3
+    assert "line 1: bad arg for 'x'" in err
+
+
+def test_validate_input_errors_name_the_line(tmp_path, capsys):
+    trace = tmp_path / "t.ndjson"
+    trace.write_text('{"clock":0,"event":"TMAbort"}\n'
+                     '\n'
+                     '{"clock":1,"x":[{"op":"Update","path":[],"args":[1.5]}]}\n')
+    code, _, err = run_cli(
+        ["validate", "--spec", "twophase:2", "--trace", str(trace)], capsys)
+    assert code == 3
+    assert err == (f"error: {trace}: line 3: bad arg for 'x': "
+                   "non-integral number not supported: 1.5\n")
+
+
 def _deep_entry(depth: int) -> str:
     value = "[" * depth + "1" + "]" * depth
     return ('{"clock": 1, "msgs": [{"op": "Update", "path": [], '

@@ -21,7 +21,6 @@ from tracecheck import (
     match_entry,
     oracle_validate,
     step,
-    step_composed,
     validate,
 )
 from tracecheck.machine import ComposedAction
@@ -226,13 +225,18 @@ def test_composed_event_chains_stages():
 
 def test_composed_stage_failure_names_the_stage():
     spec = stage_spec()
-    cfg = ExplorerConfig(composition={"AC": ("A", "C")})
-    e = entry(1, {"x": up("Update", 9)}, event="AC")
-    matches, attempts = match_entry(spec, spec.init[0], e, cfg)
-    assert matches == []
-    assert attempts[0].reason == "CompositionStageFailed"
-    assert attempts[0].stage == 1
-    assert "C" in attempts[0].detail
+    # AC: A fires, then C is blocked (stage 1).  BA: B is blocked in
+    # the initial state, so the chain dies at its first stage.
+    for event, stages, stage in (("AC", ("A", "C"), 1),
+                                 ("BA", ("B", "A"), 0)):
+        cfg = ExplorerConfig(composition={event: stages})
+        e = entry(1, {"x": up("Update", 9)}, event=event)
+        matches, attempts = match_entry(spec, spec.init[0], e, cfg)
+        assert matches == []
+        assert attempts[0].reason == "CompositionStageFailed"
+        assert attempts[0].stage == stage
+        assert attempts[0].stage_name == stages[stage]
+        assert f"stage {stage} ({stages[stage]})" in attempts[0].detail
 
 
 def test_composed_update_mismatch():

@@ -5,21 +5,22 @@ import pytest
 from tracecheck import (
     ActionSchema,
     ComposedAction,
+    ExplorerConfig,
     GuardClause,
     GuardFailed,
     Spec,
     SpecState,
+    TraceEntry,
     UnknownInvariant,
     check_invariant,
-    enabled_instances,
     explore,
     export_dot,
+    match_entry,
     next_states,
     step,
-    step_composed,
 )
 from tracecheck.protocols import build_twophase_spec, rm_names
-from tracecheck.values import VBool, VInt, VSet, VStr, mk
+from tracecheck.values import VInt, VSet, VStr, mk
 
 
 def counter_spec(limit=3):
@@ -127,14 +128,15 @@ def test_empty_effect_is_an_error():
         step(spec, spec.init[0], "Hollow", ())
 
 
-def test_enabled_instances_follow_declaration_order():
+def test_explore_edges_follow_declaration_order():
     spec = build_twophase_spec(rm_names(2))
-    names = [n for n, _ in enabled_instances(spec, spec.init[0])]
+    _, edges = explore(spec)
+    from_init = [(name, vals) for src, name, vals, _ in edges if src == 0]
     # initially only RMPrepare (per RM) and TMAbort can fire
-    assert names == ["RMPrepare", "RMPrepare", "TMAbort"]
-    vals = [v for n, v in enabled_instances(spec, spec.init[0])
-            if n == "RMPrepare"]
-    assert vals == [(VStr("rm-0"),), (VStr("rm-1"),)]
+    assert [name for name, _ in from_init] == [
+        "RMPrepare", "RMPrepare", "TMAbort"]
+    assert [vals for name, vals in from_init if name == "RMPrepare"] == [
+        (VStr("rm-0"),), (VStr("rm-1"),)]
 
 
 def test_next_states_deduplicates():
@@ -191,58 +193,28 @@ def test_two_phase_invariants_hold_everywhere():
         assert check_invariant(spec, s, "Consistent")
 
 
-def composed_demo_spec():
-    """A sets x to 1; B needs x = 1 and sets y; C needs x = 2."""
-    a = ActionSchema("A", (),
-                     (GuardClause("x = 0", lambda s, p: s["x"] == VInt(0)),),
-                     lambda s, p: [{"x": VInt(1)}])
-    b = ActionSchema("B", (),
-                     (GuardClause("x = 1", lambda s, p: s["x"] == VInt(1)),),
-                     lambda s, p: [{"y": VBool(True)}])
-    c = ActionSchema("C", (),
-                     (GuardClause("x = 2", lambda s, p: s["x"] == VInt(2)),),
-                     lambda s, p: [{"y": VBool(True)}])
-    return Spec(
-        variables=("x", "y"),
-        init=[SpecState({"x": VInt(0), "y": VBool(False)})],
-        actions=[a, b, c],
-        name="combo",
-    )
-
-
-def test_step_composed_chains_stages():
-    spec = composed_demo_spec()
-    comp = ComposedAction("AB", ("A", "B"))
-    outs = step_composed(spec, spec.init[0], comp)
-    assert len(outs) == 1
-    assert outs[0]["x"] == VInt(1)
-    assert outs[0]["y"] == VBool(True)
-
-
-def test_step_composed_first_stage_blocked_raises():
-    spec = composed_demo_spec()
-    comp = ComposedAction("BA", ("B", "A"))
-    with pytest.raises(GuardFailed) as exc:
-        step_composed(spec, spec.init[0], comp)
-    assert "stage 0" in str(exc.value)
-
-
-def test_step_composed_later_stage_blocked_returns_nothing():
-    spec = composed_demo_spec()
-    comp = ComposedAction("AC", ("A", "C"))
-    assert step_composed(spec, spec.init[0], comp) == []
-
-
 def test_composed_action_needs_two_stages():
     with pytest.raises(ValueError):
         ComposedAction("Solo", ("A",))
 
 
-def test_step_composed_unknown_stage_raises():
-    spec = composed_demo_spec()
-    comp = ComposedAction("AX", ("A", "X"))
-    with pytest.raises(KeyError):
-        step_composed(spec, spec.init[0], comp)
+def test_step_composed_first_stage_blocked_raises():
+    # B needs x = 1 but x starts at 0, so the chain BA dies at stage 0.
+    a = ActionSchema("A", (),
+                     (GuardClause("x = 0", lambda s, p: s["x"] == VInt(0)),),
+                     lambda s, p: [{"x": VInt(1)}])
+    b = ActionSchema("B", (),
+                     (GuardClause("x = 1", lambda s, p: s["x"] == VInt(1)),),
+                     lambda s, p: [{"x": VInt(2)}])
+    spec = Spec(variables=("x",), init=[SpecState({"x": VInt(0)})],
+                actions=[a, b], name="combo")
+    cfg = ExplorerConfig(composition={"BA": ("B", "A")})
+    e = TraceEntry(clock=1, updates={}, event="BA")
+    matches, attempts = match_entry(spec, spec.init[0], e, cfg)
+    assert matches == []
+    assert attempts[0].reason == "CompositionStageFailed"
+    assert attempts[0].stage == 0
+    assert "stage 0" in attempts[0].detail
 
 
 def test_export_dot_marks_init_and_omits_self_loops():
