@@ -20,7 +20,7 @@ from .tracer import (TRACE_PATH_ENV, Clock, ExplicitClock, FileBasedClock,
                      InMemoryClock, Tracer, VirtualField, get_tracer)
 from .traces import (Trace, TraceEntry, merge, parse_ndjson,
                      read_trace_file, serialize_entry, serialize_trace,
-                     validate_entry, write_trace_file)
+                     write_trace_file)
 from .values import (UpdateOp, Value, VBag, VBool, VInt, VRec, VSeq, VSet,
                      VStr, apply_entry_updates, apply_update, fingerprint,
                      json_to_value, jsonable_to_value, mk, render_event_arg,
@@ -40,7 +40,7 @@ __all__ = [
     "value_to_json", "json_to_value", "value_to_jsonable",
     "jsonable_to_value", "render_event_arg",
     # traces
-    "Trace", "TraceEntry", "validate_entry", "parse_ndjson",
+    "Trace", "TraceEntry", "parse_ndjson",
     "read_trace_file", "serialize_entry", "serialize_trace", "merge",
     "write_trace_file",
     # tracer

@@ -29,8 +29,8 @@ from .protocols import (TokenRingConfig, TwoPhaseConfig,
                         run_tokenring, run_twophase)
 from .protocols.common import RECORD_LEVELS
 from .tracer import TRACE_PATH_ENV
-from .traces import (TOO_DEEP, decode_line, merge, read_trace_file,
-                     serialize_trace)
+from .traces import merge, read_lines, read_trace_file, serialize_trace
+from .values import TOO_DEEP, parse_json
 
 EXIT_ACCEPTED = 0
 EXIT_REJECTED = 1
@@ -71,8 +71,8 @@ def _load_composition(path: str) -> dict[str, tuple[str, ...]]:
     """A composition file is either {"Event": ["A", "B"]} or a run
     manifest carrying such a mapping under "composition"."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        obj = parse_json(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, TracecheckError) as exc:
         raise UsageError(f"cannot read composition file {path}: {exc}") \
             from None
     if isinstance(obj, dict) and isinstance(obj.get("composition"), dict):
@@ -114,7 +114,7 @@ def _input_error(path: str, exc: TracecheckError) -> UsageError:
 def _read_trace(path: str):
     try:
         return read_trace_file(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     except TracecheckError as exc:
         raise _input_error(path, exc) from None
@@ -217,20 +217,15 @@ def _cmd_merge(args) -> int:
 def _cmd_schema_check(args) -> int:
     try:
         text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {args.file}: {exc}") from None
-    problems = []
-    total = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        total += 1
-        try:
-            decode_line(line, lineno)
-        except TracecheckError as exc:
-            if str(exc) == TOO_DEEP:
-                raise _input_error(args.file, exc) from None
-            problems.append((lineno, str(exc)))
+    lines = list(read_lines(text))
+    problems = [(n, exc) for n, exc in lines
+                if isinstance(exc, TracecheckError)]
+    deep = next((exc for _, exc in problems if str(exc) == TOO_DEEP), None)
+    if deep is not None:
+        raise _input_error(args.file, deep)
+    total = len(lines)
     shown = problems[:20]
     for lineno, msg in shown:
         print(f"line {lineno}: {msg}")

@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from ..machine import Spec
-from ..tracer import Tracer
+from ..tracer import InMemoryClock, Tracer
 from ..traces import Trace, merge, read_trace_file, write_trace_file
+from .sim import SimNetwork, SimScheduler
 
 RECORD_LEVELS = ("vea", "v", "vpea", "ea", "e")
 
@@ -32,24 +35,10 @@ class Recorder:
             raise ValueError(f"record level must be one of {RECORD_LEVELS}, "
                              f"got {level!r}")
         self.tracer = tracer
-        self.level = level
-        self.privileged = privileged
-
-    @property
-    def records_vars(self) -> bool:
-        return self.level in ("vea", "v", "vpea")
-
-    @property
-    def records_events(self) -> bool:
-        if self.level in ("vea", "ea", "e"):
-            return True
-        return self.level == "vpea" and self.privileged
-
-    @property
-    def records_args(self) -> bool:
-        if self.level in ("vea", "ea"):
-            return True
-        return self.level == "vpea" and self.privileged
+        self.records_vars = level in ("vea", "v", "vpea")
+        self.records_events = level in ("vea", "ea", "e") \
+            or (level == "vpea" and privileged)
+        self.records_args = self.records_events and level != "e"
 
     def notify(self, variable: str, op: str, path=(), args=()) -> None:
         if self.records_vars:
@@ -73,6 +62,47 @@ class RunResult:
     trace: Trace
     spec: Spec
     composition: dict[str, tuple[str, ...]]
+
+
+class SimRun:
+    """One simulated run: its output directory, scheduler, seeded RNG
+    and network, and one Tracer per process on a shared clock.
+
+    ``cfg`` needs ``seed``, ``record``, ``delay`` and ``time_limit``.
+    """
+
+    def __init__(self, cfg, out_dir, loss: float = 0.0):
+        self.cfg = cfg
+        self.out = Path(out_dir)
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.sched = SimScheduler()
+        self.rng = random.Random(cfg.seed)
+        self.net = SimNetwork(self.sched, self.rng, cfg.delay, loss)
+        self.clock = InMemoryClock()
+        self.files: list[Path] = []
+        self.tracers: list[Tracer] = []
+
+    def recorder(self, name: str, privileged: bool = False) -> Recorder:
+        """A Recorder writing ``<name>.ndjson`` in the output directory."""
+        path = self.out / f"{name}.ndjson"
+        self.files.append(path)
+        self.tracers.append(Tracer(str(path), clock=self.clock))
+        return Recorder(self.tracers[-1], self.cfg.record, privileged)
+
+    def finish(self, done: Callable[[], bool], protocol: str, spec: Spec,
+               composition: dict[str, tuple[str, ...]]) -> RunResult:
+        """Run until ``done()``, then merge and write the manifest."""
+        try:
+            self.sched.run(self.cfg.time_limit, done)
+        finally:
+            for t in self.tracers:
+                t.close()
+            # Queued callbacks and handlers point back at the processes,
+            # which point at this run: drop them so nothing is cyclic.
+            self.sched.clear()
+            self.net.clear()
+        return finalize_run(protocol, self.out, self.cfg, self.files, spec,
+                            composition)
 
 
 def finalize_run(protocol: str, out_dir: Path, cfg, files: list[Path],

@@ -46,6 +46,9 @@ class SimScheduler:
         if not done():
             raise SimDeadlock("event queue drained before completion")
 
+    def clear(self) -> None:
+        self._heap.clear()
+
 
 class SimNetwork:
     """Point-to-point messages with random delay and optional loss."""
@@ -77,3 +80,6 @@ class SimNetwork:
         d = lo if lo == hi else self.rng.uniform(lo, hi)
         self.sched.at(d, lambda: handler(src, payload))
         return True
+
+    def clear(self) -> None:
+        self._handlers.clear()

@@ -23,15 +23,11 @@ Known deviations to inject:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..machine import ActionSchema, GuardClause, Spec, SpecState
-from ..tracer import InMemoryClock, Tracer
 from ..values import VBool, VInt, VRec
-from .common import RECORD_LEVELS, Recorder, RunResult, finalize_run
-from .sim import SimNetwork, SimScheduler
+from .common import RECORD_LEVELS, Recorder, RunResult, SimRun
 
 COMPOSITION = {"DetectAndInit": ("DetectTermination", "InitiateProbe")}
 
@@ -132,13 +128,16 @@ class TokenRingConfig:
 
 
 class _Node:
-    def __init__(self, i: int, runner: "_RingRunner", rec: Recorder):
+    def __init__(self, i: int, run: SimRun, rec: Recorder):
         self.i = i
-        self.runner = runner
+        self.run = run
         self.rec = rec
         self.active = True
         self.has_token = i == 0
         self.probing = False       # initiator: probe already launched
+        self.detected = False      # initiator: termination detected
+        self.victory_done = False  # the victory lap ended here
+        self.woke_once = False     # self-message bug: woke itself up
 
     @property
     def name(self) -> str:
@@ -151,26 +150,26 @@ class _Node:
         self.rec.notify("active", "Update", path=(str(self.i),),
                         args=(False,))
         self.rec.log("Deactivate", [self.i])
-        if self.runner.cfg.bug == "self-message" and self.i == 1 \
-                and not self.runner.woke_once:
+        if self.run.cfg.bug == "self-message" and self.i == 1 \
+                and not self.woke_once:
             # Deviation: schedules a message to itself that will wake
             # it back up, breaking "inactive for good".
-            self.runner.woke_once = True
-            self.runner.net.send(self.name, self.name, ("wake",))
+            self.woke_once = True
+            self.run.net.send(self.name, self.name, ("wake",))
         self.maybe_move_token()
 
     def maybe_move_token(self) -> None:
         if self.active or not self.has_token:
             return
-        runner = self.runner
-        n = runner.cfg.n
+        run = self.run
+        n = run.cfg.n
         if self.i == 0:
             self.has_token = False
             if not self.probing:
                 self.probing = True
                 self.rec.notify("token", "Update", args=(n - 1,))
                 self.rec.log("InitiateProbe")
-                runner.net.send(self.name, f"node-{n - 1}", ("token",))
+                run.net.send(self.name, f"node-{n - 1}", ("token",))
             else:
                 # The probe came home: all nodes went quiet.  Flag it
                 # and send the token on a victory lap.  One handler
@@ -178,13 +177,13 @@ class _Node:
                 self.rec.notify("detected", "Update", args=(True,))
                 self.rec.notify("token", "Update", args=(n - 1,))
                 self.rec.log("DetectAndInit")
-                runner.detected = True
-                runner.net.send(self.name, f"node-{n - 1}", ("victory",))
+                self.detected = True
+                run.net.send(self.name, f"node-{n - 1}", ("victory",))
         else:
             self.has_token = False
             self.rec.notify("token", "Update", args=(self.i - 1,))
             self.rec.log("PassToken", [self.i])
-            runner.net.send(self.name, f"node-{self.i - 1}", ("token",))
+            run.net.send(self.name, f"node-{self.i - 1}", ("token",))
 
     def on_message(self, src: str, payload: tuple) -> None:
         kind = payload[0]
@@ -192,67 +191,38 @@ class _Node:
             self.has_token = True
             self.maybe_move_token()
         elif kind == "victory":
-            if self.runner.cfg.bug == "eternal-token" and self.i != 0:
+            if self.run.cfg.bug == "eternal-token" and self.i != 0:
                 # Deviation: treats the victory lap like a live probe
                 # and logs a real token pass after detection.
                 self.rec.notify("token", "Update", args=(self.i - 1,))
                 self.rec.log("PassToken", [self.i])
-                self.runner.net.send(self.name, f"node-{self.i - 1}",
-                                     ("victory",))
+                self.run.net.send(self.name, f"node-{self.i - 1}",
+                                  ("victory",))
             else:
-                self.runner.victory_done = True
+                self.victory_done = True
         elif kind == "wake":
             if not self.active:
                 self.active = True
                 self.rec.notify("active", "Update", path=(str(self.i),),
                                 args=(True,))
                 self.rec.log()
-                self.runner.sched.at(1.0, self.deactivate)
-
-
-class _RingRunner:
-    def __init__(self, cfg: TokenRingConfig):
-        self.cfg = cfg
-        self.sched = SimScheduler()
-        self.rng = random.Random(cfg.seed)
-        self.net = SimNetwork(self.sched, self.rng, cfg.delay, loss=0.0)
-        self.detected = False
-        self.victory_done = False
-        self.woke_once = False
+                self.run.sched.at(1.0, self.deactivate)
 
 
 def run_tokenring(cfg: TokenRingConfig, out_dir) -> RunResult:
     """Simulate a run and leave its traces in ``out_dir``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    runner = _RingRunner(cfg)
-    clock = InMemoryClock()
-
-    files: list[Path] = []
-    tracers: list[Tracer] = []
+    run = SimRun(cfg, out_dir)
     nodes: list[_Node] = []
     for i in range(cfg.n):
-        path = out / f"node-{i}.ndjson"
-        files.append(path)
-        tracer = Tracer(str(path), clock=clock)
-        tracers.append(tracer)
-        rec = Recorder(tracer, cfg.record, privileged=(i == 0))
-        node = _Node(i, runner, rec)
+        node = _Node(i, run, run.recorder(f"node-{i}", privileged=(i == 0)))
         nodes.append(node)
-        runner.net.register(node.name, node.on_message)
+        run.net.register(node.name, node.on_message)
 
     for node in nodes:
-        runner.sched.at(runner.rng.uniform(*cfg.work), node.deactivate)
+        run.sched.at(run.rng.uniform(*cfg.work), node.deactivate)
 
     def done() -> bool:
-        return runner.detected and runner.victory_done
+        return nodes[0].detected and any(node.victory_done for node in nodes)
 
-    try:
-        runner.sched.run(cfg.time_limit, done)
-    finally:
-        for t in tracers:
-            t.close()
-
-    spec = build_tokenring_spec(cfg.n)
-    return finalize_run("tokenring", out, cfg, files, spec,
-                        composition=dict(COMPOSITION))
+    return run.finish(done, "tokenring", build_tokenring_spec(cfg.n),
+                      dict(COMPOSITION))

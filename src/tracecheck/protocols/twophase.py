@@ -22,15 +22,11 @@ Known deviations to inject:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..machine import ActionSchema, GuardClause, Spec, SpecState
-from ..tracer import InMemoryClock, Tracer
 from ..values import VRec, VSet, VStr
-from .common import RECORD_LEVELS, Recorder, RunResult, finalize_run
-from .sim import SimNetwork, SimScheduler
+from .common import RECORD_LEVELS, Recorder, RunResult, SimRun
 
 RM_STATES = ("working", "prepared", "committed", "aborted")
 
@@ -175,10 +171,10 @@ def rm_names(n: int) -> tuple[str, ...]:
 
 
 class _RM:
-    def __init__(self, name: str, runner: "_Runner", rec: Recorder,
+    def __init__(self, name: str, run: SimRun, rec: Recorder,
                  timeout: float):
         self.name = name
-        self.runner = runner
+        self.run = run
         self.rec = rec
         self.timeout = timeout
         self.decided = False
@@ -194,23 +190,23 @@ class _RM:
         rec.notify("msgs", "Add",
                    args=({"type": "Prepared", "rm": self.name},))
         rec.log("RMPrepare", [self.name])
-        self.runner.net.send(self.name, "tm", ("Prepared", self.name))
-        self.runner.sched.at(self.timeout, self.resend)
+        self.run.net.send(self.name, "tm", ("Prepared", self.name))
+        self.run.sched.at(self.timeout, self.resend)
 
     def resend(self) -> None:
         if self.decided:
             return
         # The decision is late: push Prepared again.  With "stutter"
         # logging the retry is recorded even though nothing changed.
-        if self.runner.cfg.resend_logging == "stutter":
+        if self.run.cfg.resend_logging == "stutter":
             rec = self.rec
             rec.notify("rmState", "Update", path=(self.name,),
                        args=("prepared",))
             rec.notify("msgs", "Add",
                        args=({"type": "Prepared", "rm": self.name},))
             rec.log()
-        self.runner.net.send(self.name, "tm", ("Prepared", self.name))
-        self.runner.sched.at(self.timeout, self.resend)
+        self.run.net.send(self.name, "tm", ("Prepared", self.name))
+        self.run.sched.at(self.timeout, self.resend)
 
     def on_message(self, src: str, payload: tuple) -> None:
         if self.decided:
@@ -229,8 +225,8 @@ class _RM:
 
 
 class _TM:
-    def __init__(self, runner: "_Runner", rec: Recorder):
-        self.runner = runner
+    def __init__(self, run: SimRun, rec: Recorder):
+        self.run = run
         self.rec = rec
         self.prepared: set[str] = set()
         self.counter = 0
@@ -242,12 +238,12 @@ class _TM:
         rm = payload[1]
         if self.decision is not None:
             # Already decided; remind the sender, no new step.
-            self.runner.net.send("tm", rm, (self.decision,))
+            self.run.net.send("tm", rm, (self.decision,))
             return
         self.rec.notify("tmPrepared", "Add", args=(rm,))
         self.rec.log("TMRcvPrepared", [rm])
-        n = len(self.runner.cfg.rms)
-        if self.runner.cfg.bug == "counter":
+        n = len(self.run.cfg.rms)
+        if self.run.cfg.bug == "counter":
             # Deviation: tallies receipts, so duplicates count twice.
             self.counter += 1
             if self.counter >= n:
@@ -274,52 +270,28 @@ class _TM:
         self._broadcast_decision()
 
     def _broadcast_decision(self) -> None:
-        for rm in self.runner.cfg.rms:
-            self.runner.net.send("tm", rm, (self.decision,))
-        if self.runner.cfg.loss > 0.0:
+        for rm in self.run.cfg.rms:
+            self.run.net.send("tm", rm, (self.decision,))
+        if self.run.cfg.loss > 0.0:
             # Lossy link: repeat until the run completes.  Resends are
             # housekeeping, not protocol steps, so nothing is logged.
-            self.runner.sched.at(self.runner.cfg.timeout,
-                                 self._broadcast_decision)
-
-
-class _Runner:
-    def __init__(self, cfg: TwoPhaseConfig):
-        self.cfg = cfg
-        self.sched = SimScheduler()
-        self.rng = random.Random(cfg.seed)
-        self.net = SimNetwork(self.sched, self.rng, cfg.delay, cfg.loss)
+            self.run.sched.at(self.run.cfg.timeout, self._broadcast_decision)
 
 
 def run_twophase(cfg: TwoPhaseConfig, out_dir) -> RunResult:
     """Simulate a run and leave its traces in ``out_dir``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    runner = _Runner(cfg)
-    clock = InMemoryClock()
-
-    files: list[Path] = []
-    tracers: list[Tracer] = []
-
-    def make_recorder(name: str, privileged: bool) -> Recorder:
-        path = out / f"{name}.ndjson"
-        files.append(path)
-        tracer = Tracer(str(path), clock=clock)
-        tracers.append(tracer)
-        return Recorder(tracer, cfg.record, privileged=privileged)
-
-    tm = _TM(runner, make_recorder("tm", privileged=True))
-    runner.net.register("tm", tm.on_message)
+    run = SimRun(cfg, out_dir, cfg.loss)
+    tm = _TM(run, run.recorder("tm", privileged=True))
+    run.net.register("tm", tm.on_message)
 
     rms: list[_RM] = []
     for i, name in enumerate(cfg.rms):
         timeout = cfg.timeout
         if cfg.force_resend and i == 0:
             timeout = 3.0
-        rm = _RM(name, runner, make_recorder(name, privileged=False),
-                 timeout)
+        rm = _RM(name, run, run.recorder(name), timeout)
         rms.append(rm)
-        runner.net.register(name, rm.on_message)
+        run.net.register(name, rm.on_message)
 
     # Work times are drawn up front, in RM order, so a seed pins them.
     last = len(cfg.rms) - 1
@@ -330,20 +302,13 @@ def run_twophase(cfg: TwoPhaseConfig, out_dir) -> RunResult:
             # first RM's duplicate does.
             work = 1.0 if i == 0 else (50.0 if i == last else 2.0)
         else:
-            work = runner.rng.uniform(*cfg.work)
-        runner.sched.at(work, rm.prepare)
+            work = run.rng.uniform(*cfg.work)
+        run.sched.at(work, rm.prepare)
 
     if cfg.abort_after is not None:
-        runner.sched.at(cfg.abort_after, tm.abort)
+        run.sched.at(cfg.abort_after, tm.abort)
 
     def done() -> bool:
         return tm.decision is not None and all(rm.decided for rm in rms)
 
-    try:
-        runner.sched.run(cfg.time_limit, done)
-    finally:
-        for t in tracers:
-            t.close()
-
-    spec = build_twophase_spec(cfg.rms)
-    return finalize_run("twophase", out, cfg, files, spec, composition={})
+    return run.finish(done, "twophase", build_twophase_spec(cfg.rms), {})

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterator, Sequence
 
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, TracecheckError
 from .values import (I64_MAX, OP_NAMES, UpdateOp, jsonable_to_value,
-                     value_to_jsonable)
+                     parse_json, value_to_jsonable)
 
 RESERVED_KEYS = ("clock", "event", "event_args")
 
@@ -58,134 +58,127 @@ class Trace:
         return self.entries[i]
 
 
-def _is_int(x: Any) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def _check_update(item: Any, key: str) -> None:
+    if not isinstance(item, dict):
+        raise SchemaError(f"update for {key!r} is not an object", field=key)
+    for req in ("op", "path", "args"):
+        if req not in item:
+            raise SchemaError(f"update for {key!r} lacks {req!r}", field=key)
+    if not isinstance(item["op"], str):
+        raise SchemaError(f"update op for {key!r} must be a string",
+                          field=key)
+    if item["op"] not in OP_NAMES:
+        raise SchemaError(f"update op for {key!r} is not an operator: "
+                          f"{item['op']!r}", field=key)
+    for req in ("path", "args"):
+        if not isinstance(item[req], list):
+            raise SchemaError(f"update {req} for {key!r} must be an array",
+                              field=key)
 
 
-def validate_entry(obj: Any, line: int = 0) -> None:
-    """Raise SchemaError unless ``obj`` is a valid entry object.
+def _decode_update(item: dict, key: str) -> UpdateOp:
+    path = item["path"]
+    for seg in path:
+        if not isinstance(seg, str):
+            raise SchemaError(f"path segment for {key!r} must be a string",
+                              field=key)
+    try:
+        args = tuple([jsonable_to_value(a) for a in item["args"]])
+    except ParseError as exc:
+        raise SchemaError(f"bad arg for {key!r}: {exc}", field=key) from None
+    return UpdateOp(item["op"], tuple(path), args)
 
-    Checks exactly the wire schema: clock integer in 0..2^63-1
-    required (the 64-bit signed range values live in); event
-    a string; event_args an array of strings; any other key an array
-    (>= 1 items) of objects carrying op (string), path (array) and
-    args (array).
-    """
+
+def _entry_from_obj(obj: Any, line: int, source: str | None) -> TraceEntry:
+    """Check ``obj`` against the schema (module docstring) and decode
+    it in one pass; a variable's updates are all checked before any is
+    decoded."""
     if not isinstance(obj, dict):
-        raise SchemaError("entry is not a JSON object", line=line)
+        raise SchemaError("entry is not a JSON object")
     if "clock" not in obj:
-        raise SchemaError("missing required key 'clock'", line=line,
-                          field="clock")
-    if not _is_int(obj["clock"]) or obj["clock"] < 0:
-        raise SchemaError("'clock' must be an integer >= 0", line=line,
-                          field="clock")
-    if obj["clock"] > I64_MAX:
-        raise SchemaError("'clock' must be at most 2^63-1", line=line,
-                          field="clock")
-    if "event" in obj and not isinstance(obj["event"], str):
-        raise SchemaError("'event' must be a string", line=line,
-                          field="event")
+        raise SchemaError("missing required key 'clock'", field="clock")
+    clock = obj["clock"]
+    if not isinstance(clock, int) or isinstance(clock, bool) or clock < 0:
+        raise SchemaError("'clock' must be an integer >= 0", field="clock")
+    if clock > I64_MAX:
+        raise SchemaError("'clock' must be at most 2^63-1", field="clock")
+    event = obj.get("event")
+    if "event" in obj and not isinstance(event, str):
+        raise SchemaError("'event' must be a string", field="event")
+    event_args = obj.get("event_args")
     if "event_args" in obj:
-        ea = obj["event_args"]
-        if not isinstance(ea, list) or not all(isinstance(x, str) for x in ea):
+        if not isinstance(event_args, list) \
+                or not all(isinstance(x, str) for x in event_args):
             raise SchemaError("'event_args' must be an array of strings",
-                              line=line, field="event_args")
+                              field="event_args")
+        event_args = tuple(event_args)
+    updates: dict[str, tuple[UpdateOp, ...]] = {}
     for key, val in obj.items():
         if key in RESERVED_KEYS:
             continue
         if not isinstance(val, list) or len(val) < 1:
             raise SchemaError(
-                f"variable {key!r} must map to a non-empty array",
-                line=line, field=key)
+                f"variable {key!r} must map to a non-empty array", field=key)
         for item in val:
-            if not isinstance(item, dict):
-                raise SchemaError(
-                    f"update for {key!r} is not an object",
-                    line=line, field=key)
-            for req in ("op", "path", "args"):
-                if req not in item:
-                    raise SchemaError(
-                        f"update for {key!r} lacks {req!r}",
-                        line=line, field=key)
-            if not isinstance(item["op"], str):
-                raise SchemaError(
-                    f"update op for {key!r} must be a string",
-                    line=line, field=key)
-            if item["op"] not in OP_NAMES:
-                raise SchemaError(
-                    f"update op for {key!r} is not an operator: "
-                    f"{item['op']!r}", line=line, field=key)
-            if not isinstance(item["path"], list):
-                raise SchemaError(
-                    f"update path for {key!r} must be an array",
-                    line=line, field=key)
-            if not isinstance(item["args"], list):
-                raise SchemaError(
-                    f"update args for {key!r} must be an array",
-                    line=line, field=key)
-
-
-def _entry_from_obj(obj: dict, line: int, source: str | None) -> TraceEntry:
-    validate_entry(obj, line=line)
-    updates: dict[str, tuple[UpdateOp, ...]] = {}
-    for key, val in obj.items():
-        if key in RESERVED_KEYS:
-            continue
-        ops = []
-        for item in val:
-            for seg in item["path"]:
-                if not isinstance(seg, str):
-                    raise SchemaError(
-                        f"path segment for {key!r} must be a string",
-                        line=line, field=key)
-            try:
-                args = tuple(jsonable_to_value(a) for a in item["args"])
-            except ParseError as exc:
-                raise SchemaError(
-                    f"bad arg for {key!r}: {exc}", line=line, field=key
-                ) from None
-            ops.append(UpdateOp(item["op"], tuple(item["path"]), args))
-        updates[key] = tuple(ops)
-    event_args = obj.get("event_args")
-    return TraceEntry(
-        clock=obj["clock"],
-        updates=updates,
-        event=obj.get("event"),
-        event_args=tuple(event_args) if event_args is not None else None,
-        source=source,
-        line=line,
-    )
-
-
-TOO_DEEP = "value nested too deeply"
+            _check_update(item, key)
+        updates[key] = tuple([_decode_update(item, key) for item in val])
+    return TraceEntry(clock=clock, updates=updates, event=event,
+                      event_args=event_args, source=source, line=line)
 
 
 def decode_line(raw: str, lineno: int,
                 source: str | None = None) -> TraceEntry:
     """One NDJSON line as a TraceEntry.
 
-    Raises ParseError for malformed JSON or a value nested too deeply
-    for the stack (message ``TOO_DEEP``), and SchemaError for an entry
-    that breaks the schema or carries an update it cannot decode; both
-    carry ``lineno``.
+    Raises ParseError for text ``values.parse_json`` refuses, and
+    SchemaError for an entry that breaks the schema or carries an
+    update it cannot decode; both carry ``lineno``.
     """
     try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}", line=lineno) from None
-    except RecursionError:
-        raise ParseError(TOO_DEEP, line=lineno) from None
-    return _entry_from_obj(obj, lineno, source)
+        return _entry_from_obj(parse_json(raw), lineno, source)
+    except (ParseError, SchemaError) as exc:
+        exc.line = lineno
+        raise
+
+
+def read_lines(text: str, source: str | None = None
+               ) -> Iterator[tuple[int, TraceEntry | TracecheckError]]:
+    """Each non-blank line's 1-based number with its entry, or with the
+    error that refuses it.
+
+    Lines end at "\n" only: U+2028, U+2029 and U+0085 may appear raw
+    inside strings, and a trailing "\r" is JSON whitespace.  An entry
+    whose clock is lower than the previous entry's is refused with a
+    SchemaError on ``clock``: clocks are per-process counters and a
+    merged trace is in clock order, so a file never goes backwards.
+    """
+    prev = 0
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        if not raw.strip():
+            continue
+        try:
+            entry = decode_line(raw, lineno, source)
+        except (ParseError, SchemaError) as exc:
+            yield lineno, exc
+            continue
+        if entry.clock < prev:
+            yield lineno, SchemaError(
+                f"'clock' {entry.clock} is lower than the previous "
+                f"entry's {prev}", line=lineno, field="clock")
+        else:
+            yield lineno, entry
+        prev = entry.clock
 
 
 def parse_ndjson(text: str, source: str | None = None) -> Trace:
-    """Parse NDJSON text into a Trace.  Blank lines are skipped.
-
-    Errors carry the 1-based line number.
-    """
-    return Trace([decode_line(raw, lineno, source)
-                  for lineno, raw in enumerate(text.splitlines(), start=1)
-                  if raw.strip()])
+    """Parse NDJSON text into a Trace; the first refused line raises
+    its error.  Blank lines are skipped."""
+    entries = []
+    for _, got in read_lines(text, source):
+        if isinstance(got, TracecheckError):
+            raise got
+        entries.append(got)
+    return Trace(entries)
 
 
 def read_trace_file(path: str) -> Trace:

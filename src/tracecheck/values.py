@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
@@ -326,6 +327,50 @@ def fingerprint(v: Value) -> bytes:
 
 # --- JSON mapping -----------------------------------------------------
 
+TOO_DEEP = "value nested too deeply"
+
+# A \uD800-\uDFFF escape: the only way a surrogate gets into JSON text
+# that was itself read as UTF-8.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        dup = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ParseError(f"duplicate key {dup!r}")
+    return obj
+
+
+# Built once: json.loads with a hook builds a new decoder on every call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def parse_json(text: str) -> Any:
+    """JSON text as Python objects; every failure is a ParseError.
+
+    Refused besides malformed JSON: a key repeated in any object, a
+    lone surrogate (it has no UTF-8 form, so it could not be printed
+    back), an integer past Python's int-string digit limit, and nesting
+    too deep for the stack (message ``TOO_DEEP``).
+    """
+    try:
+        obj = _DECODER.decode(text)
+        if "\\u" in text and _SURROGATE_ESCAPE.search(text):
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON: {exc}") from None
+    except UnicodeEncodeError:
+        raise ParseError("string holds a lone surrogate") from None
+    except RecursionError:
+        raise ParseError(TOO_DEEP) from None
+    except ValueError:
+        # int() refuses digit strings past sys.get_int_max_str_digits().
+        raise ParseError("number has too many digits") from None
+    return obj
+
+
 def value_to_jsonable(v: Value) -> Any:
     if isinstance(v, VStr):
         return v.text
@@ -352,7 +397,7 @@ def jsonable_to_value(obj: Any) -> Value:
     try:
         return _decode(obj)
     except RecursionError:
-        raise ParseError("value nested too deeply") from None
+        raise ParseError(TOO_DEEP) from None
 
 
 def _decode(obj: Any) -> Value:
@@ -382,13 +427,7 @@ def value_to_json(v: Value) -> str:
 
 
 def json_to_value(text: str) -> Value:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from None
-    except RecursionError:
-        raise ParseError("value nested too deeply") from None
-    return jsonable_to_value(obj)
+    return jsonable_to_value(parse_json(text))
 
 
 def render_event_arg(v: Value) -> str:

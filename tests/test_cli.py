@@ -166,6 +166,8 @@ def test_validate_allow_stutter_flag(tmp_path, capsys):
 
 
 def test_usage_errors_exit_three(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.ndjson"
+    latin1.write_bytes(b'{"clock":0,"event":"\xff"}\n')
     cases = [
         ["validate", "--spec", "nosuch:2", "--trace", "x.ndjson"],
         ["validate", "--spec", "twophase:", "--trace", "x.ndjson"],
@@ -176,6 +178,12 @@ def test_usage_errors_exit_three(tmp_path, capsys):
         ["run", "twophase", "--delay", "oops",
          "--out", str(tmp_path / "o2")],
         ["run", "tokenring", "--n", "1", "--out", str(tmp_path / "o3")],
+        # Files that are not UTF-8.
+        ["validate", "--spec", "twophase:2", "--trace", str(latin1)],
+        ["schema-check", str(latin1)],
+        ["merge", str(latin1)],
+        ["validate", "--spec", "twophase:2", "--compose", str(latin1),
+         "--trace", str(latin1)],
     ]
     for argv in cases:
         code, out, err = run_cli(argv, capsys)
@@ -192,12 +200,21 @@ def test_bad_compose_file_exits_three(happy_run, tmp_path, capsys):
     assert code == 3
     assert "composition" in err
 
-    worse = tmp_path / "worse.json"
-    worse.write_text('{"Ev": "not-a-list"}')
-    code, _, err = run_cli(
-        ["validate", "--spec", "twophase:2", "--compose", str(worse),
-         "--trace", str(happy_run / "merged.ndjson")], capsys)
-    assert code == 3
+    # Each goes through the trace reader's JSON decoder.
+    for text, message in [
+            ('{"Ev": "not-a-list"}', "must be a list"),
+            ('{"E": ["TMAbort", "TMAbort"], "E": ["TMCommit"]}',
+             "duplicate key 'E'"),
+            ('{"E": [%s, "TMAbort"]}' % ("1" * 5000), "too many digits"),
+            ('{"E": ["\\ud800", "TMAbort"]}', "lone surrogate"),
+            ("[" * 100_000 + "]" * 100_000, "nested too deeply")]:
+        worse = tmp_path / "worse.json"
+        worse.write_text(text)
+        code, _, err = run_cli(
+            ["validate", "--spec", "twophase:2", "--compose", str(worse),
+             "--trace", str(happy_run / "merged.ndjson")], capsys)
+        assert code == 3
+        assert message in err
 
 
 def test_merge_to_stdout_and_file(happy_run, tmp_path, capsys):
@@ -311,3 +328,45 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "accepted" in result.stdout
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_decreasing_clock_is_refused_by_every_reader(tmp_path, capsys):
+    trace = _write(tmp_path, "back.ndjson",
+                   '{"clock":5,"event":"TMAbort"}\n{"clock":2}\n')
+    message = "line 2: 'clock' 2 is lower than the previous entry's 5"
+    code, _, err = run_cli(
+        ["validate", "--spec", "twophase:2", "--trace", trace], capsys)
+    assert code == 3
+    assert message in err
+    code, out, err = run_cli(["merge", trace], capsys)
+    assert code == 3
+    assert out == "" and message in err
+    code, out, _ = run_cli(["schema-check", trace], capsys)
+    assert code == 1
+    assert message in out
+    assert "1 of 2 entries" in out
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"clock":0,"event":"TMAbort","event":"RMPrepare",'
+     '"event_args":["rm-0"]}', "duplicate key 'event'"),
+    ('{"clock":0,"x":[{"op":"Update","path":[],"args":[%s]}],'
+     '"event":"TMAbort"}' % ("1" * 5000), "number has too many digits"),
+    ('{"clock":0,"event":"\\ud800"}', "string holds a lone surrogate"),
+], ids=["duplicate-key", "long-number", "lone-surrogate"])
+def test_unreadable_entries_exit_three_without_traceback(tmp_path, capsys,
+                                                         line, message):
+    trace = _write(tmp_path, "t.ndjson", line + "\n")
+    code, _, err = run_cli(
+        ["validate", "--spec", "twophase:2", "--trace", trace], capsys)
+    assert code == 3
+    assert err == f"error: {trace}: line 1: {message}\n"
+    code, out, _ = run_cli(["schema-check", trace], capsys)
+    assert code == 1
+    assert f"line 1: {message}" in out

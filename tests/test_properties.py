@@ -1,18 +1,28 @@
-"""Hypothesis property tests for the sorted-order fast paths.
+"""Hypothesis property tests.
 
 The sorted lookups and in-place updates in ``values.py`` must agree
 with the linear definitions and full rebuilds they replace, and the
 ``SpecState`` dedup key must be equal exactly when bindings are equal.
-Only this module needs hypothesis.
+The trace reader must read back whatever the Tracer writes, and turn
+any other text into an entry or a TracecheckError; the CLI must exit
+0-3 on it.  Only this module needs hypothesis.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
+import tempfile
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tracecheck import SpecState, VBag, VBool, VInt, VRec, VSeq, VSet, VStr
+from tracecheck import (SpecState, TracecheckError, Tracer, VBag, VBool,
+                        VInt, VRec, VSeq, VSet, VStr, read_trace_file)
+from tracecheck.cli import main
+from tracecheck.traces import decode_line
 
 I64_MIN = -(2 ** 63)
 I64_MAX = 2 ** 63 - 1
@@ -111,3 +121,89 @@ def test_spec_state_key_is_equal_exactly_when_bindings_are_equal(maps):
             same = a.bindings == b.bindings
             assert (a.fingerprint() == b.fingerprint()) == same
             assert (a == b) == same
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(), st.text())
+def test_tracer_strings_read_back_unchanged(text, key):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.ndjson")
+        with Tracer(path) as t:
+            t.notify_change("x", "Update", (key,), (text,))
+            t.log(text, [text])
+        (entry,) = read_trace_file(path)
+    (update,) = entry.updates["x"]
+    assert update.path == (key,)
+    assert update.args == (VStr(text),)
+    assert (entry.event, entry.event_args) == (text, (text,))
+
+
+# Pieces of JSON, including what the reader must refuse: lone
+# surrogate escapes, numbers it cannot hold, and raw line separators.
+_fragments = st.sampled_from([
+    "{", "}", "[", "]", ",", ":", " ", "\r", "\u2028", "\x85", "\x0c",
+    '"clock"', '"event"', '"event_args"', '"x"', '"op"', '"path"',
+    '"args"', '"Update"', '"Add"', '"TMAbort"', '"rm-0"', '"a\\"b"',
+    '"\\ud800"', '"\\udfff"', '"\\ud83d\\ude00"', '"\\u2028"', '"é"',
+    "0", "1", "-1", "1.5", "1e400", "NaN", "true", "false", "null",
+    str(2 ** 63), "9" * 5000,
+])
+_json_ish = st.lists(_fragments, max_size=24).map("".join)
+_entries = st.builds(
+    '{{"clock":{},"x":[{{"op":"Update","path":[],"args":[{}]}}],'
+    '"event":{}}}'.format,
+    st.sampled_from(["0", "1", "7", "-1", "1.5", str(2 ** 63)]),
+    _json_ish, st.sampled_from(['"TMAbort"', '"RMPrepare"', "1"]))
+_lines = st.one_of(_json_ish, _entries)
+
+# The inputs that once gave a traceback or a silent repair: a number
+# past the int-string limit, nesting too deep for the stack, a lone
+# surrogate, a repeated key, raw line separators in a string, and a
+# clock that goes backwards.
+_ODD_FILES = [
+    ['{"clock":%s}' % ("1" * 5000)],
+    ['{"clock":0,"x":[{"op":"Update","path":[],"args":[%s]}]}'
+     % ("[" * 100_000 + "]" * 100_000)],
+    ['{"clock":0,"event":"\\ud800"}'],
+    ['{"clock":0,"event":"TMAbort","event":"RMPrepare",'
+     '"event_args":["rm-0"]}'],
+    ['{"clock":3,"event":"TMAbort\u2028\u2029\x85"}'],
+    ['{"clock":5,"event":"TMAbort"}', '{"clock":2}'],
+]
+
+
+def _with_odd_files(test):
+    for lines in _ODD_FILES:
+        test = example(lines)(test)
+    return test
+
+
+@_with_odd_files
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_lines, min_size=1, max_size=4))
+def test_any_line_is_an_entry_or_a_tracecheck_error(lines):
+    for n, line in enumerate(lines, start=1):
+        try:
+            decode_line(line, n)
+        except TracecheckError as exc:
+            assert exc.line == n
+
+
+def _exit_codes(text: str) -> list[int]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.ndjson")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return [main(["validate", "--spec", "twophase:2",
+                          "--allow-stutter", "--trace", path]),
+                    main(["schema-check", path])]
+
+
+@_with_odd_files
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_lines, min_size=1, max_size=4))
+def test_cli_exits_zero_to_three_on_any_lines(lines):
+    for code in _exit_codes("\n".join(lines) + "\n"):
+        assert code in (0, 1, 2, 3)

@@ -1,5 +1,6 @@
 """Protocol simulators: determinism, record levels, injected bugs."""
 
+import gc
 import json
 import random
 
@@ -383,3 +384,25 @@ def test_tokenring_invariant_holds_on_correct_run(tmp_path):
     assert v.accepted
     for w in v.witness:
         assert check_invariant(res.spec, w.state, "QuietWhenDetected")
+
+
+@pytest.mark.parametrize("run, cfg", [
+    (run_twophase, TwoPhaseConfig(rms=rm_names(8), seed=3)),
+    (run_tokenring, TokenRingConfig(n=8, seed=3)),
+], ids=["twophase", "tokenring"])
+def test_simulated_run_leaves_no_tracecheck_cycles(tmp_path, run, cfg):
+    # With the collector paused, everything a run leaves in reference
+    # cycles is kept in gc.garbage by the next collection.
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run(cfg, tmp_path / "run")
+        gc.collect()
+        cyclic = {type(o).__qualname__ for o in gc.garbage
+                  if type(o).__module__.startswith("tracecheck")}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert cyclic == set()

@@ -248,3 +248,19 @@ def test_multiple_tracers_one_clock_merge_cleanly(tmp_path):
     clocks = [e.clock for e in merged]
     assert clocks == sorted(clocks)
     assert len(set(clocks)) == 15
+
+
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
+def test_unicode_line_separators_in_values_read_back(tmp_path, sep):
+    # json.dumps(ensure_ascii=False) writes these raw; only "\n" ends a
+    # line, so the entry reads back whole.
+    path = tmp_path / "t.ndjson"
+    with Tracer(str(path)) as t:
+        t.notify_change("x", "Update", (f"k{sep}",), (f"a{sep}b",))
+        t.log(f"E{sep}", [f"p{sep}q"])
+    assert sep in path.read_text(encoding="utf-8")
+    (entry,) = read_trace_file(str(path))
+    assert entry.updates["x"][0].path == (f"k{sep}",)
+    assert entry.updates["x"][0].args == (VStr(f"a{sep}b"),)
+    assert entry.event == f"E{sep}"
+    assert entry.event_args == (f"p{sep}q",)

@@ -2,26 +2,28 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 from conftest import gen_entry
 
 from tracecheck import (ParseError, SchemaError, Trace, TraceEntry,
-                        UpdateOp, VInt, merge, parse_ndjson,
+                        TracecheckError, UpdateOp, VInt, merge, parse_ndjson,
                         read_trace_file, serialize_entry, serialize_trace,
-                        validate_entry, write_trace_file)
+                        write_trace_file)
+from tracecheck.traces import decode_line, read_lines
 
 
 # --- schema ------------------------------------------------------------
 
 def ok(obj):
-    validate_entry(obj)
+    decode_line(json.dumps(obj), 1)
 
 
 def bad(obj, fragment):
     with pytest.raises(SchemaError) as err:
-        validate_entry(obj, line=7)
+        decode_line(json.dumps(obj), 7)
     assert fragment in str(err.value)
     assert err.value.line == 7
 
@@ -83,6 +85,59 @@ def test_parse_skips_blank_lines():
     t = parse_ndjson('\n{"clock": 1}\n\n{"clock": 2}\n')
     assert len(t) == 2
     assert t[0].line == 2 and t[1].line == 4
+
+
+def test_lines_end_at_newline_only():
+    t = parse_ndjson('{"clock":1,"event":"a\u2028b\x85"}\r\n'
+                     '{"clock":2,"event":"\u2029"}\r\n')
+    assert [(e.line, e.event) for e in t] == [(1, "a\u2028b\x85"),
+                                              (2, "\u2029")]
+    # A form feed no longer splits a line, so two entries on one line
+    # are malformed JSON.
+    with pytest.raises(ParseError) as err:
+        parse_ndjson('{"clock":1}\x0c{"clock":2}\n')
+    assert err.value.line == 1
+
+
+def test_clock_may_repeat_but_not_go_backwards():
+    t = parse_ndjson('{"clock":5}\n{"clock":5}\n{"clock":7}\n')
+    assert [e.clock for e in t] == [5, 5, 7]
+    with pytest.raises(SchemaError) as err:
+        parse_ndjson('{"clock":5}\n\n{"clock":2}\n')
+    assert "'clock' 2 is lower than the previous entry's 5" \
+        in str(err.value)
+    assert (err.value.line, err.value.field) == (3, "clock")
+
+
+def test_read_lines_reports_every_line_and_checks_order_against_the_last():
+    got = list(read_lines('{"clock":5}\nnope\n{"clock":2}\n'
+                          '{"clock":3}\n{"clock":1}\n'))
+    assert [n for n, _ in got] == [1, 2, 3, 4, 5]
+    refused = [n for n, x in got if isinstance(x, TracecheckError)]
+    assert refused == [2, 3, 5]
+
+
+@pytest.mark.parametrize("line, fragment", [
+    ('{"clock":0,"event":"TMAbort","event":"RMPrepare",'
+     '"event_args":["rm-0"]}', "duplicate key 'event'"),
+    ('{"clock":0,"x":[{"op":"Update","path":[],"args":[{"a":1,"a":2}]}]}',
+     "duplicate key 'a'"),
+    ('{"clock":0,"event":"\\ud800"}', "lone surrogate"),
+    ('{"clock":0,"event":"\\udc00\\ud83d"}', "lone surrogate"),
+    ('{"clock":%s}' % ("1" * 5000), "too many digits"),
+], ids=["duplicate-key", "duplicate-key-in-value", "lone-high-surrogate",
+        "lone-low-surrogate", "long-number"])
+def test_reader_refuses_what_the_value_model_cannot_hold(line, fragment):
+    with pytest.raises(ParseError) as err:
+        parse_ndjson('{"clock":0}\n' + line + "\n")
+    assert fragment in str(err.value)
+    assert err.value.line == 2
+
+
+def test_surrogate_pairs_and_escaped_backslashes_are_accepted():
+    t = parse_ndjson('{"clock":0,"event":"\\ud83d\\ude00"}\n'
+                     '{"clock":1,"event":"\\\\ud800"}\n')
+    assert [e.event for e in t] == ["\U0001F600", "\\ud800"]
 
 
 def test_parse_requires_string_path_segments():
