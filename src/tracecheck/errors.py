@@ -48,12 +48,19 @@ class MissingClock(TracecheckError):
 
 
 class GuardFailed(TracecheckError):
-    """An action was stepped in a state where its guard is false."""
+    """An action was stepped in a state where its guard is false.
+
+    The search refuses many instances and prints few, so the message is
+    rendered only when asked for.
+    """
 
     def __init__(self, action: str, description: str):
-        super().__init__(f"{action}: guard failed: {description}")
+        super().__init__(action, description)
         self.action = action
         self.description = description
+
+    def __str__(self) -> str:
+        return f"{self.action}: guard failed: {self.description}"
 
 
 class UnknownInvariant(TracecheckError):

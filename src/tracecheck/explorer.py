@@ -5,11 +5,12 @@ position).  A node (s, l) means: s is reachable by replaying some
 matching behavior for the first l-1 entries.  Its successors are the
 spec transitions that both fire in s and agree with everything entry l
 recorded: the entry's event (if any) names the action or a configured
-composed action, leading event_args pin the leading parameters, and
-every recorded variable v must end up exactly at the value obtained by
-replaying the entry's update list for v on s.  Unrecorded variables
-are unconstrained.  The trace is accepted exactly when some node
-consumes the whole trace.
+composed action (an entry without one may be any action or composed
+action, or a stutter when allowed), leading event_args pin the leading
+parameters, and every recorded variable v must end up exactly at the
+value obtained by replaying the entry's update list for v on s.
+Unrecorded variables are unconstrained.  The trace is accepted exactly
+when some node consumes the whole trace.
 
 ``validate`` runs BFS or DFS over deduplicated nodes; ``oracle_validate``
 re-derives acceptance by brute-force enumeration of behaviors with no
@@ -22,8 +23,9 @@ states are equal and the lines are equal: no digest is taken, and no
 collision can merge distinct nodes.
 
 Work fixed for a whole validation is done once, in ``_Compiled``: the
-composition map is checked, and each action's valuations are listed
-and rendered to event-arg strings, so a node only looks them up.
+composition map is checked, the candidate steps of each kind of entry
+are listed, and each action's valuations are listed and rendered to
+event-arg strings, so a node only looks them up.
 A candidate that fails is kept as an ``Attempt`` of plain facts; its
 text is rendered only when a report reads it.
 """
@@ -77,12 +79,26 @@ def _check_composition(spec: Spec, cfg: ExplorerConfig) -> dict[str, ComposedAct
 
 
 class _Compiled:
-    """What stays fixed for one validation, worked out once: the
-    checked composition map, and each action's valuations with the
-    event-arg strings they render as."""
+    """What stays fixed for one validation, worked out once: the steps
+    each kind of entry may stand for (the composition map checked), and
+    each action's valuations with the event-arg strings they render as.
+
+    A step is an ActionSchema, a ComposedAction or STUTTER.  An entry
+    with an event may be only the step of that name (``by_event``; a
+    composed action wins over an action of the same name).  An entry
+    without one may be any step (``eventless``): every action, then
+    every composed action, then the stutter step when it is allowed.
+    """
 
     def __init__(self, spec: Spec, cfg: ExplorerConfig):
-        self.composition = _check_composition(spec, cfg)
+        composition = _check_composition(spec, cfg)
+        self.by_event: dict[str, ActionSchema | ComposedAction] = {
+            a.name: a for a in spec.actions}
+        self.by_event.update(composition)
+        self.eventless: list[ActionSchema | ComposedAction | str] = [
+            *spec.actions, *composition.values()]
+        if cfg.allow_stutter:
+            self.eventless.append(STUTTER)
         self._domains: dict[str, tuple[list[tuple[Value, ...]],
                                        list[tuple[str, ...]]]] = {}
         for schema in spec.actions:
@@ -183,15 +199,13 @@ class Match:
     values: tuple[Value, ...] = ()                # () for composed/STUTTER
     stage_values: tuple[tuple[Value, ...], ...] | None = None
 
-    def label(self) -> str:
-        return step_label(self.name, self.values)
-
 
 @dataclass
 class FailureReport:
     entry_index: int               # 1-based
     state: SpecState
     attempts: list[Attempt]
+    node: int                      # the blocked node's id in the graph
 
 
 @dataclass
@@ -214,10 +228,13 @@ class Verdict:
     inconclusive: bool = False
     budget_reason: str | None = None
     search: str = "bfs"
-    # Explored constrained graph, for DOT export: nodes are
-    # (state, line) pairs, edges carry the matched step label.
-    nodes: list[tuple[SpecState, int]] = field(default_factory=list)
-    edges: list[tuple[int, str, int]] = field(default_factory=list)
+    # The explored search graph, for DOT export: node i is the pair
+    # (states[i], lines[i]); an edge (src, name, values, dst) is the
+    # step that took node src to node dst.
+    states: list[SpecState] = field(default_factory=list)
+    lines: list[int] = field(default_factory=list)
+    edges: list[tuple[int, str, tuple[Value, ...], int]] = field(
+        default_factory=list)
 
     def status(self) -> str:
         if self.accepted:
@@ -345,11 +362,17 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
     """
     if compiled is None:
         compiled = _Compiled(spec, cfg)
-    composition = compiled.composition
     expected, bad = _expected_values(state, entry)
     if expected is None:
         assert bad is not None
         return [], [bad]
+    if entry.event is None:
+        candidates, event_args = compiled.eventless, None
+    else:
+        named = compiled.by_event.get(entry.event)
+        if named is None:
+            raise UnknownEvent(entry.event)
+        candidates, event_args = (named,), entry.event_args
 
     matches: list[Match] = []
     attempts: list[Attempt] = []
@@ -379,42 +402,31 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
             attempts.append(Attempt(name, "UpdateMismatch", values,
                                     variable=var, expected=want, actual=got))
 
-    def try_action(schema: ActionSchema, constrain_args: bool) -> None:
-        candidates = compiled.valuations(
-            schema, entry.event_args if constrain_args else None)
-        for vals in candidates:
-            try:
-                outs = step(spec, state, schema.name, vals)
-            except GuardFailed as exc:
-                attempts.append(Attempt(schema.name, "GuardFailed", vals,
-                                        cause=exc.description))
-                continue
-            keep_agreeing(schema.name, vals, [(t, None) for t in outs])
-        if constrain_args and not candidates:
-            attempts.append(Attempt(schema.name, "NoCandidateAction",
-                                    event_args=tuple(entry.event_args or ())))
-
-    if entry.event is not None:
-        if entry.event in composition:
-            comp = composition[entry.event]
+    for cand in candidates:
+        if cand is STUTTER:
+            keep_agreeing(STUTTER, None, [(state, None)])
+        elif isinstance(cand, ComposedAction):
             outcomes, deepest = _composed_matches(
-                spec, state, comp, entry.event_args, compiled)
+                spec, state, cand, event_args, compiled)
             if outcomes:
-                keep_agreeing(comp.name, None, outcomes)
+                keep_agreeing(cand.name, None, outcomes)
             else:
                 attempts.append(Attempt(
-                    comp.name, "CompositionStageFailed", stage=deepest,
-                    stage_name=comp.stages[deepest]))
+                    cand.name, "CompositionStageFailed", stage=deepest,
+                    stage_name=cand.stages[deepest]))
         else:
-            schema = spec.action(entry.event)
-            if schema is None:
-                raise UnknownEvent(entry.event)
-            try_action(schema, constrain_args=True)
-    else:
-        for schema in spec.actions:
-            try_action(schema, constrain_args=False)
-        if cfg.allow_stutter:
-            keep_agreeing(STUTTER, None, [(state, None)])
+            valuations = compiled.valuations(cand, event_args)
+            for vals in valuations:
+                try:
+                    outs = step(spec, state, cand.name, vals)
+                except GuardFailed as exc:
+                    attempts.append(Attempt(cand.name, "GuardFailed", vals,
+                                            cause=exc.description))
+                    continue
+                keep_agreeing(cand.name, vals, [(t, None) for t in outs])
+            if not valuations and entry.event is not None:
+                attempts.append(Attempt(cand.name, "NoCandidateAction",
+                                        event_args=tuple(event_args or ())))
 
     if not matches and not attempts:
         attempts.append(Attempt("(none)", "NoCandidateAction"))
@@ -439,25 +451,22 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
     lines: list[int] = []                # node id -> line (1-based)
     ids: dict[tuple[tuple, int], int] = {}
     parent: list[tuple[int, Match] | None] = []
-    edges: list[tuple[int, str, int]] = []
+    edges: list[tuple[int, str, tuple[Value, ...], int]] = []
     dead: list[tuple[int, list[Attempt]]] = []
 
-    def intern(state: SpecState, line: int) -> int | None:
-        key = (state.fingerprint(), line)
-        if key in ids:
-            return None
-        nid = len(states)
-        ids[key] = nid
+    def add(key: tuple[tuple, int], state: SpecState, line: int,
+            via: tuple[int, Match] | None) -> int:
+        nid = ids[key] = len(states)
         states.append(state)
         lines.append(line)
-        parent.append(None)
+        parent.append(via)
         return nid
 
     frontier: list[int] = []
     for s in spec.init:
-        nid = intern(s, 1)
-        if nid is not None:
-            frontier.append(nid)
+        key = (s.fingerprint(), 1)
+        if key not in ids:
+            frontier.append(add(key, s, 1, None))
 
     bfs = cfg.search == "bfs"
     cursor = 0                           # BFS reads frontier as a queue
@@ -495,25 +504,21 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
         succ_ids = []
         for m in matches:
             key = (m.state.fingerprint(), line + 1)
-            if key in ids:
-                edges.append((nid, m.label(), ids[key]))
-                continue
-            if line + 1 == length + 1:
+            child = ids.get(key)
+            if child is None:
                 # Acceptance is definitive even at the budget edge.
-                child = intern(m.state, line + 1)
-                assert child is not None
-                parent[child] = (nid, m)
-                edges.append((nid, m.label(), child))
+                if line < length and cfg.max_states is not None \
+                        and len(states) >= cfg.max_states:
+                    budget_reason = f"max_states={cfg.max_states} exceeded"
+                    break
+                child = add(key, m.state, line + 1, (nid, m))
+                succ_ids.append(child)
+            edges.append((nid, m.name, m.values, child))
+            if line == length:
+                # A node past the last entry is reached only here, so
+                # the first one is the goal.
                 goal = child
                 break
-            if cfg.max_states is not None and len(states) >= cfg.max_states:
-                budget_reason = f"max_states={cfg.max_states} exceeded"
-                break
-            child = intern(m.state, line + 1)
-            assert child is not None
-            parent[child] = (nid, m)
-            edges.append((nid, m.label(), child))
-            succ_ids.append(child)
         if budget_reason is not None or goal is not None:
             break
         if bfs:
@@ -543,7 +548,7 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
             if lines[nid] == deepest:
                 failures.append(FailureReport(
                     entry_index=deepest, state=states[nid],
-                    attempts=list(attempts)))
+                    attempts=list(attempts), node=nid))
 
     return Verdict(
         accepted=accepted,
@@ -555,7 +560,8 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
         inconclusive=budget_reason is not None,
         budget_reason=budget_reason,
         search=cfg.search,
-        nodes=list(zip(states, lines)),
+        states=states,
+        lines=lines,
         edges=edges,
     )
 
@@ -568,12 +574,16 @@ def oracle_validate(spec: Spec, trace: Trace,
     ``validate``; exists as a slow cross-check of the search.
     """
     cfg = cfg or ExplorerConfig()
-    composition = _check_composition(spec, cfg)
+    # Each step an entry may stand for, as its tuple of stage names.
+    composed = {event: comp.stages for event, comp
+                in _check_composition(spec, cfg).items()}
+    by_event = {a.name: (a.name,) for a in spec.actions}
+    by_event.update(composed)
+    eventless = [(a.name,) for a in spec.actions] + list(composed.values())
     entries = list(trace)
     length = len(entries)
 
-    def arg_prefix_ok(schema: ActionSchema, vals: tuple[Value, ...],
-                      event_args) -> bool:
+    def arg_prefix_ok(vals: tuple[Value, ...], event_args) -> bool:
         if not event_args:
             return True
         if len(event_args) > len(vals):
@@ -594,58 +604,32 @@ def oracle_validate(spec: Spec, trace: Trace,
         except TracecheckError:
             return False
 
+        pinned = e.event_args if e.event is not None else None
+
         def agrees(t: SpecState) -> bool:
             return all(t[v] == w for v, w in wanted.items())
 
-        if e.event is not None:
-            if e.event in composition:
-                stages = composition[e.event].stages
-
-                def chain(s2: SpecState, k: int) -> bool:
-                    if k == len(stages):
-                        return agrees(s2) and replay_ok(s2, idx + 1)
-                    schema2 = spec.action(stages[k])
-                    for vals in schema2.valuations():
-                        if k == 0 and not arg_prefix_ok(schema2, vals,
-                                                        e.event_args):
-                            continue
-                        try:
-                            outs = step(spec, s2, stages[k], vals)
-                        except GuardFailed:
-                            continue
-                        for t in outs:
-                            if chain(t, k + 1):
-                                return True
-                    return False
-
-                return chain(s, 0)
-            schema = spec.action(e.event)
-            if schema is None:
-                return False
-            for vals in schema.valuations():
-                if not arg_prefix_ok(schema, vals, e.event_args):
+        def chain(s2: SpecState, stages: tuple[str, ...], k: int) -> bool:
+            """Fire stages[k:] from s2; event args pin the first."""
+            if k == len(stages):
+                return agrees(s2) and replay_ok(s2, idx + 1)
+            for vals in spec.action(stages[k]).valuations():
+                if k == 0 and not arg_prefix_ok(vals, pinned):
                     continue
                 try:
-                    outs = step(spec, s, e.event, vals)
+                    outs = step(spec, s2, stages[k], vals)
                 except GuardFailed:
                     continue
-                for t in outs:
-                    if agrees(t) and replay_ok(t, idx + 1):
-                        return True
+                if any(chain(t, stages, k + 1) for t in outs):
+                    return True
             return False
 
-        for schema in spec.actions:
-            for vals in schema.valuations():
-                try:
-                    outs = step(spec, s, schema.name, vals)
-                except GuardFailed:
-                    continue
-                for t in outs:
-                    if agrees(t) and replay_ok(t, idx + 1):
-                        return True
-        if cfg.allow_stutter and agrees(s) and replay_ok(s, idx + 1):
+        if e.event is not None:
+            stages = by_event.get(e.event)
+            return stages is not None and chain(s, stages, 0)
+        if any(chain(s, stages, 0) for stages in eventless):
             return True
-        return False
+        return cfg.allow_stutter and agrees(s) and replay_ok(s, idx + 1)
 
     return any(replay_ok(s0, 0) for s0 in spec.init)
 
@@ -716,24 +700,22 @@ def explored_dot(verdict: Verdict, trace: Trace) -> str:
     out = ["digraph trace_exploration {",
            "  rankdir=LR;",
            "  node [shape=box, fontsize=10];"]
-    dead_lines = {f.entry_index for f in verdict.failures}
-    blocked_fps = {(f.state.fingerprint(), f.entry_index)
-                   for f in verdict.failures}
-    for i, (state, line) in enumerate(verdict.nodes):
+    blocked = {f.node for f in verdict.failures}
+    for i, (state, line) in enumerate(zip(verdict.states, verdict.lines)):
         label = f"after {line - 1} entr" + ("y" if line == 2 else "ies")
         label += "\\n" + state.describe().replace('"', "'")
         attrs = f"label={_dot_quote(label)}"
-        if (state.fingerprint(), line) in blocked_fps:
+        if i in blocked:
             attrs += ", color=red"
         out.append(f"  n{i} [{attrs}];")
-    for src, label, dst in verdict.edges:
-        out.append(f"  n{src} -> n{dst} [label={_dot_quote(label)}];")
-    if dead_lines:
-        k = min(dead_lines)
+    for src, name, values, dst in verdict.edges:
+        out.append(f"  n{src} -> n{dst} "
+                   f"[label={_dot_quote(step_label(name, values))}];")
+    if blocked:
+        k = verdict.failures[0].entry_index
         entry_label = serialize_entry(trace[k - 1]).replace('"', "'")
         out.append(f"  blocked [shape=note, label={_dot_quote('entry ' + str(k) + ': ' + entry_label)}];")
-        for i, (state, line) in enumerate(verdict.nodes):
-            if (state.fingerprint(), line) in blocked_fps:
-                out.append(f"  n{i} -> blocked [style=dashed];")
+        for i in sorted(blocked):
+            out.append(f"  n{i} -> blocked [style=dashed];")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
 from .errors import ParseError, SchemaError, TracecheckError
-from .values import (I64_MAX, OP_NAMES, UpdateOp, jsonable_to_value,
-                     parse_json, value_to_jsonable)
+from .values import (I64_MAX, OP_NAMES, TOO_DEEP, UpdateOp,
+                     jsonable_to_value, parse_json, value_to_jsonable)
 
 RESERVED_KEYS = ("clock", "event", "event_args")
 
@@ -85,6 +85,8 @@ def _decode_update(item: dict, key: str) -> UpdateOp:
     try:
         args = tuple([jsonable_to_value(a) for a in item["args"]])
     except ParseError as exc:
+        if str(exc) == TOO_DEEP:
+            raise   # the same fault as nesting too deep for the parser
         raise SchemaError(f"bad arg for {key!r}: {exc}", field=key) from None
     return UpdateOp(item["op"], tuple(path), args)
 

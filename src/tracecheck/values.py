@@ -547,18 +547,22 @@ def apply_update(v: Value, u: UpdateOp) -> Value:
     Paths descend record fields only; every segment must resolve
     (updates never create fields).  The empty path targets v itself.
     """
-    if not u.path:
-        return _apply_here(v, u.op, u.args)
+    return _apply_at(v, u.path, u.op, u.args)
+
+
+def _apply_at(v: Value, path: tuple[str, ...], op: str,
+              args: tuple[Value, ...]) -> Value:
+    if not path:
+        return _apply_here(v, op, args)
     if not isinstance(v, VRec):
         raise PathError(
-            f"path segment {u.path[0]!r} descends into {type(v).__name__}, "
+            f"path segment {path[0]!r} descends into {type(v).__name__}, "
             "not a record")
-    head, rest = u.path[0], u.path[1:]
+    head = path[0]
     sub = v.get(head)
     if sub is None:
         raise PathError(f"record has no field {head!r}")
-    new_sub = apply_update(sub, UpdateOp(u.op, rest, u.args))
-    return v.replaced(head, new_sub)
+    return v.replaced(head, _apply_at(sub, path[1:], op, args))
 
 
 def apply_entry_updates(v: Value, updates: Sequence[UpdateOp]) -> Value:

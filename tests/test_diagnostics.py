@@ -4,7 +4,9 @@
 Each case is a small spec and a trace whose first unmatched entry fails
 for one reason (the single, composed and stutter forms of
 UpdateMismatch, composition stages 0 and 1, NoCandidateAction with and
-without event args).  The expected strings are the checker's output
+without event args), plus an event-less entry under a composition,
+whose attempts list every action, then the composed action, then the
+stutter.  The expected strings are the checker's output
 and must not change when the matching code is refactored.
 """
 
@@ -91,6 +93,11 @@ CASES = {
         ladder_spec(),
         Trace([entry(1, {"x": up("Update", 4)})]),
         ExplorerConfig(allow_stutter=True)),
+    "eventless_composed_and_stutter": lambda: (
+        stage_spec(),
+        Trace([entry(1, {"x": up("Update", 7)})]),
+        ExplorerConfig(allow_stutter=True,
+                       composition={"AB": ("A", "B")})),
     "update_error_unknown_variable": lambda: (
         ladder_spec(),
         Trace([entry(1, {"ghost": up("Update", 1)}, "Up", ["1"])]),
@@ -154,6 +161,38 @@ EXPECTED = {
                         'detail': 'stage 1 (C) cannot fire on any '
                                   'intermediate state',
                         'reason': 'CompositionStageFailed'}],
+          'entry': 1,
+          'state': {'x': '0'}}]),
+    'eventless_composed_and_stutter': (
+        ('rejected: consumed 0 of 1 entries (1 distinct search nodes, bfs)\n'
+         'entry 1 cannot be matched from any reached state:\n'
+         '  {"clock":1,"x":[{"op":"Update","path":[],"args":[7]}]}\n'
+         '  blocked state: x=0\n'
+         "    - A: variable 'x': trace updates give 7, spec step gives 1\n"
+         '    - B: guard failed: x = 1\n'
+         '    - C: guard failed: x = 5\n'
+         "    - AB: variable 'x': trace updates give 7, composed step gives "
+         '2\n'
+         "    - (stutter): variable 'x' changes, so the entry is not a "
+         'stutter'),
+        [{'attempts': [{'candidate': 'A',
+                        'detail': "variable 'x': trace updates give 7, spec "
+                                  'step gives 1',
+                        'reason': 'UpdateMismatch'},
+                       {'candidate': 'B',
+                        'detail': 'guard failed: x = 1',
+                        'reason': 'GuardFailed'},
+                       {'candidate': 'C',
+                        'detail': 'guard failed: x = 5',
+                        'reason': 'GuardFailed'},
+                       {'candidate': 'AB',
+                        'detail': "variable 'x': trace updates give 7, "
+                                  'composed step gives 2',
+                        'reason': 'UpdateMismatch'},
+                       {'candidate': '(stutter)',
+                        'detail': "variable 'x' changes, so the entry is not "
+                                  'a stutter',
+                        'reason': 'UpdateMismatch'}],
           'entry': 1,
           'state': {'x': '0'}}]),
     'guard_failed': (

@@ -23,6 +23,7 @@ from tracecheck import (
     step,
     validate,
 )
+from tracecheck.explorer import step_label
 from tracecheck.machine import ComposedAction
 from tracecheck.protocols import (
     TokenRingConfig,
@@ -106,7 +107,7 @@ def test_match_named_event_pins_action_and_args():
     assert len(matches) == 1
     assert matches[0].name == "Up"
     assert matches[0].state["x"] == VInt(1)
-    assert matches[0].label() == "Up(1)"
+    assert step_label(matches[0].name, matches[0].values) == "Up(1)"
 
 
 def test_match_guard_failures_are_reported():
@@ -220,7 +221,7 @@ def test_composed_event_chains_stages():
     assert m.name == "AB"
     assert m.state["x"] == VInt(2)
     assert m.stage_values == ((), ())
-    assert m.label() == "AB"
+    assert step_label(m.name, m.values) == "AB"
 
 
 def test_composed_stage_failure_names_the_stage():
@@ -246,6 +247,28 @@ def test_composed_update_mismatch():
     matches, attempts = match_entry(spec, spec.init[0], e, cfg)
     assert matches == []
     assert attempts[0].reason == "UpdateMismatch"
+
+
+def test_eventless_entry_may_be_a_composed_action():
+    # x goes 0 -> 2 in one entry: no single action does that, AB does.
+    spec = stage_spec()
+    cfg = ExplorerConfig(composition={"AB": ("A", "B")})
+    e = entry(1, {"x": up("Update", 2)})
+    matches, _ = match_entry(spec, spec.init[0], e, cfg)
+    assert [(m.name, m.stage_values) for m in matches] == [("AB", ((), ()))]
+    assert validate(spec, Trace([e]), cfg).accepted
+    assert oracle_validate(spec, Trace([e]), cfg)
+
+
+@pytest.mark.parametrize("search", ["bfs", "dfs"])
+def test_faithful_eventless_tokenring_trace_is_accepted(tmp_path, search):
+    # Level v leaves every entry event-less, so the entry the fused
+    # DetectAndInit step recorded matches only through its composition.
+    res = run_tokenring(TokenRingConfig(n=5, seed=0, record="v"),
+                        tmp_path / "run")
+    cfg = ExplorerConfig(search=search, composition=res.composition)
+    assert validate(res.spec, res.trace, cfg).accepted
+    assert oracle_validate(res.spec, res.trace, cfg)
 
 
 def test_composition_validticket_checked_upfront():
