@@ -8,23 +8,21 @@ behavior that explains the whole trace.
 
 from .errors import (BagUnderflow, GuardFailed, MissingClock, OpTypeError,
                      ParseError, PathError, SchemaError, SimDeadlock,
-                     TracecheckError, UnknownEvent, UnknownInvariant,
-                     UnknownOp)
+                     TracecheckError, UnknownEvent, UnknownOp)
 from .explorer import (STUTTER, Attempt, ExplorerConfig, FailureReport,
-                       Match, Verdict, WitnessStep, explain, explored_dot,
-                       match_entry, oracle_validate, validate)
+                       Match, Verdict, explain, explored_dot, match_entry,
+                       validate)
 from .machine import (ActionSchema, ComposedAction, GuardClause, Spec,
-                      SpecState, check_invariant, explore, export_dot,
-                      next_states, step)
+                      SpecState, step)
 from .tracer import (TRACE_PATH_ENV, Clock, ExplicitClock, FileBasedClock,
                      InMemoryClock, Tracer, VirtualField, get_tracer)
 from .traces import (Trace, TraceEntry, merge, parse_ndjson,
                      read_trace_file, serialize_entry, serialize_trace,
                      write_trace_file)
 from .values import (UpdateOp, Value, VBag, VBool, VInt, VRec, VSeq, VSet,
-                     VStr, apply_entry_updates, apply_update, fingerprint,
-                     json_to_value, jsonable_to_value, mk, render_event_arg,
-                     value_to_json, value_to_jsonable)
+                     VStr, apply_entry_updates, apply_update, json_to_value,
+                     jsonable_to_value, mk, render_event_arg, value_to_json,
+                     value_to_jsonable)
 
 __version__ = "0.1.0"
 
@@ -33,10 +31,10 @@ __all__ = [
     # errors
     "TracecheckError", "PathError", "OpTypeError", "BagUnderflow",
     "UnknownOp", "ParseError", "SchemaError", "MissingClock", "GuardFailed",
-    "UnknownInvariant", "UnknownEvent", "SimDeadlock",
+    "UnknownEvent", "SimDeadlock",
     # values
     "Value", "VStr", "VInt", "VBool", "VSeq", "VSet", "VBag", "VRec",
-    "UpdateOp", "mk", "fingerprint", "apply_update", "apply_entry_updates",
+    "UpdateOp", "mk", "apply_update", "apply_entry_updates",
     "value_to_json", "json_to_value", "value_to_jsonable",
     "jsonable_to_value", "render_event_arg",
     # traces
@@ -48,9 +46,8 @@ __all__ = [
     "FileBasedClock", "ExplicitClock", "TRACE_PATH_ENV",
     # machine
     "SpecState", "GuardClause", "ActionSchema", "ComposedAction", "Spec",
-    "step", "check_invariant", "next_states", "explore", "export_dot",
+    "step",
     # explorer
     "STUTTER", "ExplorerConfig", "Match", "Attempt", "FailureReport",
-    "WitnessStep", "Verdict", "match_entry", "validate", "oracle_validate",
-    "explain", "explored_dot",
+    "Verdict", "match_entry", "validate", "explain", "explored_dot",
 ]

@@ -8,9 +8,10 @@ Subcommands:
   schema-check  report entries that do not fit the trace format
 
 Exit codes: 0 success/accepted, 1 rejected, 2 inconclusive (search
-budget exhausted), 3 usage or input error.  A rejection caused purely
-by an event name the spec does not know also exits 3, with a hint to
-supply a composition mapping.
+budget exhausted), 3 usage or input error, or standard output closed
+before all of it was written.  A rejection caused purely by an event
+name the spec does not know also exits 3, with a hint to supply a
+composition mapping.
 """
 
 from __future__ import annotations
@@ -324,12 +325,23 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TracecheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # Whatever reads stdout has gone.  Point stdout at devnull so
+        # the interpreter's flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed before all of it was "
+              "written", file=sys.stderr)
         return EXIT_USAGE
 
 

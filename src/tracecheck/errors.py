@@ -63,10 +63,6 @@ class GuardFailed(TracecheckError):
         return f"{self.action}: guard failed: {self.description}"
 
 
-class UnknownInvariant(TracecheckError):
-    """check_invariant was asked for an invariant name the spec lacks."""
-
-
 class UnknownEvent(TracecheckError):
     """A trace event names neither an action nor a composition entry."""
 

@@ -12,9 +12,7 @@ value obtained by replaying the entry's update list for v on s.
 Unrecorded variables are unconstrained.  The trace is accepted exactly
 when some node consumes the whole trace.
 
-``validate`` runs BFS or DFS over deduplicated nodes; ``oracle_validate``
-re-derives acceptance by brute-force enumeration of behaviors with no
-dedup and no shared matching code, as an independent cross-check.
+``validate`` runs BFS or DFS over deduplicated nodes.
 
 A node's dedup key is (``SpecState.fingerprint()``, line).  The
 fingerprint is the tuple of the state's sorted variable names followed
@@ -37,8 +35,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import GuardFailed, TracecheckError, UnknownEvent
-from .machine import (ActionSchema, ComposedAction, Spec, SpecState,
-                      _dot_quote, step)
+from .machine import ActionSchema, ComposedAction, Spec, SpecState, step
 from .traces import Trace, TraceEntry, serialize_entry
 from .values import (Value, apply_entry_updates, render_event_arg,
                      value_to_json)
@@ -192,7 +189,9 @@ class Attempt:
 
 @dataclass(frozen=True)
 class Match:
-    """One successful way to consume an entry from a given state."""
+    """One successful way to consume an entry: the state it leads to
+    and the step that got there.  A witness is a list of Matches whose
+    k-th (1-based) consumes entry k."""
 
     state: SpecState
     name: str                                     # action/composed/STUTTER
@@ -209,21 +208,12 @@ class FailureReport:
 
 
 @dataclass
-class WitnessStep:
-    entry_index: int               # 1-based
-    name: str                      # action name, composed name, or STUTTER
-    values: tuple[Value, ...]
-    state: SpecState
-    stage_values: tuple[tuple[Value, ...], ...] | None = None
-
-
-@dataclass
 class Verdict:
     accepted: bool
     consumed_max: int
     distinct_states: int
     trace_length: int
-    witness: list[WitnessStep] | None = None
+    witness: list[Match] | None = None
     failures: list[FailureReport] = field(default_factory=list)
     inconclusive: bool = False
     budget_reason: str | None = None
@@ -274,12 +264,12 @@ class Verdict:
         if self.witness is not None:
             out["witness"] = [
                 {
-                    "entry": w.entry_index,
+                    "entry": n,
                     "step": step_label(w.name, w.values),
                     "state": {k: value_to_json(v)
                               for k, v in sorted(w.state.bindings.items())},
                 }
-                for w in self.witness
+                for n, w in enumerate(self.witness, 1)
             ]
         return out
 
@@ -313,39 +303,31 @@ def _first_miss(state: SpecState, expected: dict[str, Value]
 def _composed_matches(spec: Spec, state: SpecState, comp: ComposedAction,
                       event_args: Sequence[str] | None, compiled: _Compiled
                       ) -> tuple[list[tuple[SpecState, tuple[tuple[Value, ...], ...]]], int]:
-    """All chain outcomes of a composed action.
+    """All chain outcomes of a composed action, as (state, each stage's
+    valuation), in the order of the stages' valuations and successors.
 
     event_args pin the leading parameters of the first stage; later
     stages range over their enabled valuations.  Returns (outcomes,
     deepest stage entered), so a caller can report which stage a dead
     chain reached.
     """
-    outcomes: list[tuple[SpecState, tuple[tuple[Value, ...], ...]]] = []
-    seen: set[tuple] = set()
-    deepest = 0
-
-    def rec(s: SpecState, idx: int, used: list[tuple[Value, ...]]) -> None:
-        nonlocal deepest
-        deepest = max(deepest, idx)
-        if idx == len(comp.stages):
-            fp = s.fingerprint()
-            if fp not in seen:
-                seen.add(fp)
-                outcomes.append((s, tuple(used)))
-            return
-        schema = spec.action(comp.stages[idx])
-        assert schema is not None
-        for vals in compiled.valuations(schema,
-                                        event_args if idx == 0 else None):
-            try:
-                outs = step(spec, s, schema.name, vals)
-            except GuardFailed:
-                continue
-            for t in outs:
-                rec(t, idx + 1, used + [vals])
-
-    rec(state, 0, [])
-    return outcomes, deepest
+    outcomes: list[tuple[SpecState, tuple[tuple[Value, ...], ...]]] = [
+        (state, ())]
+    for idx, name in enumerate(comp.stages):
+        schema = spec.action(name)
+        pinned = event_args if idx == 0 else None
+        extended = []
+        for s, used in outcomes:
+            for vals in compiled.valuations(schema, pinned):
+                try:
+                    outs = step(spec, s, name, vals)
+                except GuardFailed:
+                    continue
+                extended.extend((t, used + (vals,)) for t in outs)
+        if not extended:
+            return [], idx
+        outcomes = extended
+    return outcomes, len(comp.stages)
 
 
 def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
@@ -530,16 +512,12 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
     accepted = goal is not None
     witness = None
     if accepted:
-        chain: list[WitnessStep] = []
+        witness = []
         at = goal
         while parent[at] is not None:
-            prev, m = parent[at]
-            chain.append(WitnessStep(
-                entry_index=lines[at] - 1, name=m.name, values=m.values,
-                state=states[at], stage_values=m.stage_values))
-            at = prev
-        chain.reverse()
-        witness = chain
+            at, m = parent[at]
+            witness.append(m)
+        witness.reverse()
 
     failures = []
     if not accepted:
@@ -564,74 +542,6 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
         lines=lines,
         edges=edges,
     )
-
-
-def oracle_validate(spec: Spec, trace: Trace,
-                    cfg: ExplorerConfig | None = None) -> bool:
-    """Definitional acceptance: enumerate behaviors outright.
-
-    No visited set, no deduplication, no shared matching code with
-    ``validate``; exists as a slow cross-check of the search.
-    """
-    cfg = cfg or ExplorerConfig()
-    # Each step an entry may stand for, as its tuple of stage names.
-    composed = {event: comp.stages for event, comp
-                in _check_composition(spec, cfg).items()}
-    by_event = {a.name: (a.name,) for a in spec.actions}
-    by_event.update(composed)
-    eventless = [(a.name,) for a in spec.actions] + list(composed.values())
-    entries = list(trace)
-    length = len(entries)
-
-    def arg_prefix_ok(vals: tuple[Value, ...], event_args) -> bool:
-        if not event_args:
-            return True
-        if len(event_args) > len(vals):
-            return False
-        return all(render_event_arg(vals[i]) == event_args[i]
-                   for i in range(len(event_args)))
-
-    def replay_ok(s: SpecState, idx: int) -> bool:
-        if idx == length:
-            return True
-        e = entries[idx]
-        try:
-            wanted = {v: apply_entry_updates(s[v], ops)
-                      for v, ops in e.updates.items()
-                      if v in s}
-            if len(wanted) != len(e.updates):
-                return False
-        except TracecheckError:
-            return False
-
-        pinned = e.event_args if e.event is not None else None
-
-        def agrees(t: SpecState) -> bool:
-            return all(t[v] == w for v, w in wanted.items())
-
-        def chain(s2: SpecState, stages: tuple[str, ...], k: int) -> bool:
-            """Fire stages[k:] from s2; event args pin the first."""
-            if k == len(stages):
-                return agrees(s2) and replay_ok(s2, idx + 1)
-            for vals in spec.action(stages[k]).valuations():
-                if k == 0 and not arg_prefix_ok(vals, pinned):
-                    continue
-                try:
-                    outs = step(spec, s2, stages[k], vals)
-                except GuardFailed:
-                    continue
-                if any(chain(t, stages, k + 1) for t in outs):
-                    return True
-            return False
-
-        if e.event is not None:
-            stages = by_event.get(e.event)
-            return stages is not None and chain(s, stages, 0)
-        if any(chain(s, stages, 0) for stages in eventless):
-            return True
-        return cfg.allow_stutter and agrees(s) and replay_ok(s, idx + 1)
-
-    return any(replay_ok(s0, 0) for s0 in spec.init)
 
 
 # --- reporting --------------------------------------------------------
@@ -670,9 +580,8 @@ def explain(verdict: Verdict, spec: Spec, trace: Trace,
                      "definitive answer")
     if verdict.witness is not None:
         lines.append("witness behavior:")
-        for w in verdict.witness:
-            lines.append(f"  entry {w.entry_index}: "
-                         f"{step_label(w.name, w.values)}")
+        for k, w in enumerate(verdict.witness, 1):
+            lines.append(f"  entry {k}: {step_label(w.name, w.values)}")
     if not verdict.accepted and verdict.failures:
         k = verdict.failures[0].entry_index
         entry = trace[k - 1]
@@ -689,6 +598,10 @@ def explain(verdict: Verdict, spec: Spec, trace: Trace,
         if extra > 0:
             lines.append(f"  ... and {extra} more blocked state(s)")
     return "\n".join(lines)
+
+
+def _dot_quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def explored_dot(verdict: Verdict, trace: Trace) -> str:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import GuardFailed, UnknownInvariant
+from .errors import GuardFailed
 from .values import Value, value_to_json
 
 
@@ -225,101 +225,3 @@ def step(spec: Spec, state: SpecState, action_name: str,
             f"{action_name}: effect produced no successor despite a "
             "true guard")
     return [_complete(spec, state, p) for p in partials]
-
-
-def check_invariant(spec: Spec, state: SpecState, name: str) -> bool:
-    try:
-        pred = spec.invariants[name]
-    except KeyError:
-        raise UnknownInvariant(
-            f"{spec.name} has no invariant {name!r}") from None
-    return bool(pred(state))
-
-
-def _fired(spec: Spec, state: SpecState
-           ) -> Iterator[tuple[str, tuple[Value, ...], list[SpecState]]]:
-    """(action, valuation, successors) for every enabled instance, in
-    deterministic order: actions as declared, valuations in domain
-    product order.  ``step`` evaluates each guard once."""
-    for schema in spec.actions:
-        for values in schema.valuations():
-            try:
-                outs = step(spec, state, schema.name, values)
-            except GuardFailed:
-                continue
-            yield schema.name, values, outs
-
-
-def next_states(spec: Spec, state: SpecState) -> list[SpecState]:
-    """Deduplicated successors under every enabled action instance."""
-    out: list[SpecState] = []
-    seen: set[tuple] = set()
-    for _, _, outs in _fired(spec, state):
-        for t in outs:
-            fp = t.fingerprint()
-            if fp not in seen:
-                seen.add(fp)
-                out.append(t)
-    return out
-
-
-def explore(spec: Spec, max_states: int = 10_000
-            ) -> tuple[list[SpecState], list[tuple[int, str, tuple[Value, ...], int]]]:
-    """Breadth-first reachability up to ``max_states`` states.
-
-    Returns (states, edges); edges are (from index, action, values,
-    to index) and self-loops (stuttering steps) are skipped.
-    """
-    states: list[SpecState] = []
-    index: dict[tuple, int] = {}
-    edges: list[tuple[int, str, tuple[Value, ...], int]] = []
-
-    for s in spec.init:
-        fp = s.fingerprint()
-        if fp not in index:
-            index[fp] = len(states)
-            states.append(s)
-
-    cursor = 0
-    while cursor < len(states):
-        s = states[cursor]
-        for name, values, outs in _fired(spec, s):
-            for t in outs:
-                fp = t.fingerprint()
-                if fp not in index:
-                    if len(states) >= max_states:
-                        raise ValueError(
-                            f"state space exceeds {max_states} states")
-                    index[fp] = len(states)
-                    states.append(t)
-                if index[fp] != cursor:
-                    edges.append((cursor, name, values, index[fp]))
-        cursor += 1
-    return states, edges
-
-
-def _dot_quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def export_dot(spec: Spec, max_states: int = 10_000) -> str:
-    """The unconstrained reachable state graph in DOT form."""
-    states, edges = explore(spec, max_states)
-    init_fps = {s.fingerprint() for s in spec.init}
-    lines = [
-        f"digraph {_dot_quote(spec.name)} {{",
-        "  // stuttering self-loops omitted",
-        "  node [shape=box, fontsize=10];",
-    ]
-    for i, s in enumerate(states):
-        attrs = f"label={_dot_quote(s.describe())}"
-        if s.fingerprint() in init_fps:
-            attrs += ", style=bold"
-        lines.append(f"  s{i} [{attrs}];")
-    for src, name, values, dst in edges:
-        label = name
-        if values:
-            label += "(" + ", ".join(value_to_json(v) for v in values) + ")"
-        lines.append(f"  s{src} -> s{dst} [label={_dot_quote(label)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

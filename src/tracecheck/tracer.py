@@ -25,9 +25,9 @@ import os
 import threading
 from typing import Any, Sequence
 
-from .errors import MissingClock, UnknownOp
-from .traces import TraceEntry, entry_to_jsonable
-from .values import OP_NAMES, UpdateOp, mk, render_event_arg
+from .errors import MissingClock
+from .traces import RESERVED_KEYS, TraceEntry, entry_to_jsonable
+from .values import UpdateOp, mk, render_event_arg
 
 TRACE_PATH_ENV = "TRACE_PATH"
 
@@ -113,10 +113,8 @@ class Tracer:
                       path: Sequence[str] = (),
                       args: Sequence[Any] = ()) -> None:
         """Buffer one update; nothing is written until log()."""
-        if variable in ("clock", "event", "event_args"):
+        if variable in RESERVED_KEYS:
             raise ValueError(f"variable name {variable!r} is reserved")
-        if op not in OP_NAMES:
-            raise UnknownOp(f"unknown operator: {op!r}")
         update = UpdateOp(op, tuple(path), tuple(mk(a) for a in args))
         with self._lock:
             self._pending.append((variable, update))

@@ -25,7 +25,6 @@ argument as a set (or as [element, count] pairs).  See ``apply_update``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from bisect import bisect_left
@@ -318,11 +317,6 @@ def mk(obj: Any) -> Value:
     if isinstance(obj, dict):
         return VRec((k, mk(v)) for k, v in obj.items())
     raise TypeError(f"cannot lift {type(obj).__name__} into a Value")
-
-
-def fingerprint(v: Value) -> bytes:
-    """32-byte digest of the canonical form."""
-    return hashlib.sha256(v.canonical()).digest()
 
 
 # --- JSON mapping -----------------------------------------------------

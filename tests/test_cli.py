@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -332,6 +333,22 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "accepted" in result.stdout
+
+
+def test_closed_stdout_pipe_exits_three_with_one_error_line(tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "tracecheck.cli", "run", "twophase",
+             "--rms", "4", "--seed", "7", "--out", str(tmp_path / "d"),
+             "--and-validate"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 3
+    assert result.stderr == ("error: standard output was closed before "
+                             "all of it was written\n")
 
 
 def _write(tmp_path, name, text):

@@ -1,9 +1,13 @@
 """Trace exploration: matching, search, oracle agreement, reporting."""
 
+import ast
 import dataclasses
+import importlib
 import random
+from pathlib import Path
 
 import pytest
+from oracle import oracle_validate
 
 from tracecheck import (
     ActionSchema,
@@ -19,7 +23,6 @@ from tracecheck import (
     explain,
     explored_dot,
     match_entry,
-    oracle_validate,
     step,
     validate,
 )
@@ -295,7 +298,7 @@ def test_accepts_full_trace_and_reports_witness():
     assert v.consumed_max == 3
     assert v.trace_length == 3
     assert [w.name for w in v.witness] == ["Up", "Up", "Down"]
-    assert [w.entry_index for w in v.witness] == [1, 2, 3]
+    assert [w["entry"] for w in v.to_jsonable()["witness"]] == [1, 2, 3]
 
 
 def test_rejection_reports_deepest_entry():
@@ -408,8 +411,8 @@ def replay_witness(spec, trace, verdict, composition=None):
     for start in spec.init:
         cur = start
         ok = True
-        for w in verdict.witness:
-            e = trace[w.entry_index - 1]
+        for k, w in enumerate(verdict.witness):
+            e = trace[k]
             expected = {v: apply_entry_updates(cur[v], ops)
                         for v, ops in e.updates.items()}
             if w.name == STUTTER:
@@ -533,6 +536,25 @@ def test_search_matches_oracle_with_stutter_allowed():
         want = oracle_validate(spec, t, cfg)
         got = validate(spec, t, cfg)
         assert got.accepted == want
+
+
+def test_oracle_shares_no_matching_code_with_the_search():
+    # The oracle cross-checks the search only while it decides
+    # acceptance with its own code: it may take the configuration and
+    # its composition check from the explorer, and nothing else.
+    allowed = {"ExplorerConfig", "_check_composition"}
+    source = (Path(__file__).parent / "oracle.py").read_text("utf-8")
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            assert all(not a.name.startswith("tracecheck.explorer")
+                       for a in node.names)
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module.startswith("tracecheck"):
+            module = importlib.import_module(node.module)
+            for a in node.names:
+                home = getattr(getattr(module, a.name), "__module__", None)
+                if "tracecheck.explorer" in (node.module, home):
+                    assert a.name in allowed, a.name
 
 
 # --- reporting ---------------------------------------------------------

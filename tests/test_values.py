@@ -11,7 +11,7 @@ from conftest import I64_MAX, I64_MIN, gen_value, has_set_or_bag
 from tracecheck import (BagUnderflow, OpTypeError, ParseError, PathError,
                         UnknownOp, UpdateOp, VBag, VBool, VInt, VRec, VSeq,
                         VSet, VStr, apply_entry_updates, apply_update,
-                        fingerprint, json_to_value, jsonable_to_value, mk,
+                        json_to_value, jsonable_to_value, mk,
                         render_event_arg, value_to_json, value_to_jsonable)
 
 
@@ -79,31 +79,24 @@ def test_mk_builds_from_plain_python():
     assert mk(VStr("x")) == VStr("x")
 
 
-# --- canonical bytes and fingerprints ---------------------------------
+# --- canonical bytes --------------------------------------------------
 
-# Frozen digests: flag accidental changes to the canonical byte
-# format, which would silently change every stored fingerprint.
+# Frozen canonical bytes: the search's state fingerprints are built
+# from them, so flag accidental changes to the byte format.
 GOLDEN_FINGERPRINTS = [
-    (VStr("hello"),
-     "03711ba6fffbc3b338274a1e860b0ed9046ed4b3be912e32e4f96dc83f32eb97"),
-    (VInt(42),
-     "dd4a852fde822e0a41d833efb93331a43efc94287b6405c81c3457de49a3e39a"),
-    (VBool(True),
-     "7dc96f776c8423e57a2785489a3f9c43fb6e756876d6ad9a9cac4aa4e72ec193"),
-    (VSeq([VInt(1), VStr("a")]),
-     "4cd9f02827166b51c876127590cc81cfe7baf25bdf7824670e5cc762836f1b27"),
-    (VSet([VStr("b"), VStr("a")]),
-     "30f1a855a60f09eda263614680ade99d3cfc00c4528d9982951abd5456e6a556"),
-    (VBag([(VStr("m"), 2)]),
-     "91d854b84068c621fa68700ba105e0fe0d00cc3dbb8b06b4c357c7d25f7bc514"),
-    (VRec([("k", VInt(1))]),
-     "734dcc5951722e13e816eb5244c40d3f9a18c3eb8c7394bd59784a8a6e7ec15b"),
+    (VStr("hello"), b"s5:hello"),
+    (VInt(42), b"i42;"),
+    (VBool(True), b"b1"),
+    (VSeq([VInt(1), VStr("a")]), b"q[i1;s1:a]"),
+    (VSet([VStr("b"), VStr("a")]), b"S[s1:as1:b]"),
+    (VBag([(VStr("m"), 2)]), b"B[s1:m*2;]"),
+    (VRec([("k", VInt(1))]), b"R{k1:k=i1;}"),
 ]
 
 
 def test_fingerprints_are_frozen():
-    for v, digest in GOLDEN_FINGERPRINTS:
-        assert fingerprint(v).hex() == digest, value_to_json(v)
+    for v, canonical in GOLDEN_FINGERPRINTS:
+        assert v.canonical() == canonical, value_to_json(v)
 
 
 def test_equal_values_share_canonical_bytes_and_hash():
@@ -292,10 +285,7 @@ def test_thousand_generated_values_hold_core_properties():
         w = json_to_value(value_to_json(v))
         assert value_to_json(w) == value_to_json(
             json_to_value(value_to_json(w)))
-        # fingerprint is a pure function of the canonical form
-        assert (fingerprint(w) == fingerprint(v)) == \
-            (w.canonical() == v.canonical())
-        seen.add(fingerprint(v))
+        seen.add(v.canonical())
     assert len(seen) > 500  # the generator is actually diverse
 
 
