@@ -8,15 +8,20 @@ Subcommands:
   schema-check  report entries that do not fit the trace format
 
 Exit codes: 0 success/accepted, 1 rejected, 2 inconclusive (search
-budget exhausted), 3 usage or input error, or standard output closed
-before all of it was written.  A rejection caused purely by an event
-name the spec does not know also exits 3, with a hint to supply a
-composition mapping.
+budget exhausted, nothing else), 3 usage or input error (a malformed,
+missing or unknown flag or subcommand among them), or standard output
+closed before all of it was written.  A rejection caused purely by an
+event name the spec does not know also exits 3, with a hint to supply
+a composition mapping.
+
+``main(argv)`` may be called repeatedly in one process, which builds its
+parser once; it returns every exit code, a usage error's included.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -41,6 +46,15 @@ EXIT_USAGE = 3
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line with exit code 3, not argparse's 2,
+    which here means an exhausted budget."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _parse_spec_arg(text: str) -> Spec:
@@ -239,8 +253,10 @@ def _cmd_schema_check(args) -> int:
     return EXIT_ACCEPTED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """Shared by every call in this process; parse_args does not change it."""
+    parser = _Parser(
         prog="tracecheck",
         description="Validate recorded execution traces against "
                     "state-machine specs.")
@@ -322,8 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:       # --help, or a refused command line
+        return exc.code
     try:
         code = args.func(args)
         sys.stdout.flush()

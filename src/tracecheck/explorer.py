@@ -55,6 +55,13 @@ class ExplorerConfig:
         if self.search not in ("bfs", "dfs"):
             raise ValueError(f"search must be 'bfs' or 'dfs', got "
                              f"{self.search!r}")
+        if self.max_states is not None and self.max_states < 0:
+            raise ValueError(f"max_states must be at least 0, got "
+                             f"{self.max_states}")
+        # ``not >=`` refuses NaN too, which no comparison would stop at.
+        if self.max_seconds is not None and not self.max_seconds >= 0:
+            raise ValueError(f"max_seconds must be at least 0, got "
+                             f"{self.max_seconds}")
         object.__setattr__(
             self, "composition",
             {k: tuple(v) for k, v in self.composition.items()})

@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tracecheck
 from tracecheck.cli import main
 
 
@@ -169,6 +171,8 @@ def test_validate_allow_stutter_flag(tmp_path, capsys):
 def test_usage_errors_exit_three(tmp_path, capsys):
     latin1 = tmp_path / "latin1.ndjson"
     latin1.write_bytes(b'{"clock":0,"event":"\xff"}\n')
+    abort = tmp_path / "abort.ndjson"
+    abort.write_text('{"clock":0,"event":"TMAbort"}\n')
     cases = [
         ["validate", "--spec", "nosuch:2", "--trace", "x.ndjson"],
         ["validate", "--spec", "twophase:", "--trace", "x.ndjson"],
@@ -185,11 +189,80 @@ def test_usage_errors_exit_three(tmp_path, capsys):
         ["merge", str(latin1)],
         ["validate", "--spec", "twophase:2", "--compose", str(latin1),
          "--trace", str(latin1)],
+        # Command lines the parser refuses: argparse alone would exit 2.
+        ["validate", "--trace", "x.ndjson"],
+        ["nosuch"],
+        ["validate", "--spec", "twophase:2", "--trace", "x.ndjson",
+         "--search", "zz"],
+        ["run", "twophase", "--rms", "x"],
+        # Budgets that bound nothing; a NaN would compare false forever.
+        ["validate", "--spec", "twophase:2", "--trace", str(abort),
+         "--max-states", "-3"],
+        ["validate", "--spec", "twophase:2", "--trace", str(abort),
+         "--max-seconds", "-1"],
+        ["validate", "--spec", "twophase:2", "--trace", str(abort),
+         "--max-seconds", "nan"],
     ]
     for argv in cases:
         code, out, err = run_cli(argv, capsys)
         assert code == 3, argv
         assert "error:" in err
+
+
+def test_refused_command_line_keeps_argparse_message(capsys):
+    code, out, err = run_cli(["validate", "--trace", "x.ndjson"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("usage: tracecheck validate [-h] --spec SPEC")
+    assert err.endswith("tracecheck validate: error: the following "
+                        "arguments are required: --spec\n")
+    code, out, err = run_cli(["validate", "--help"], capsys)
+    assert code == 0
+    assert out.startswith("usage: tracecheck validate") and err == ""
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_repeated_calls_match_fresh_processes(tmp_path, capsys,
+                                              monkeypatch):
+    """One process shares one parser between calls: each call's exit
+    code, output and files are those of the same call in a process of
+    its own, and no flag value carries over to the next call."""
+    ring = tmp_path / "ring"
+    assert main(["run", "tokenring", "--n", "3", "--seed", "2",
+                 "--out", str(ring)]) == 0
+    calls = [
+        ["validate", "--spec", "tokenring:3", "--trace", "ring/merged.ndjson",
+         "--compose", "ring/manifest.json", "--dot", "graph.dot", "--json"],
+        ["run", "twophase", "--rms", "2", "--seed", "3", "--out", "run",
+         "--and-validate"],
+        # Without --compose the ring's events are unknown (exit 3); a
+        # --dot carried over would rewrite graph.dot with another graph.
+        ["validate", "--spec", "tokenring:3",
+         "--trace", "ring/merged.ndjson"],
+    ]
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    for side in (shared, fresh):
+        (side / "ring").mkdir(parents=True)
+        for name in ("merged.ndjson", "manifest.json"):
+            (side / "ring" / name).write_bytes((ring / name).read_bytes())
+    src = str(Path(tracecheck.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    capsys.readouterr()
+    monkeypatch.chdir(shared)
+    for argv in calls:
+        code, out, err = run_cli(argv, capsys)
+        alone = subprocess.run(
+            [sys.executable, "-m", "tracecheck.cli", *argv], cwd=fresh,
+            env=env, capture_output=True, text=True)
+        assert (code, out, err) == (alone.returncode, alone.stdout,
+                                    alone.stderr), argv
+        assert _tree(shared) == _tree(fresh), argv
+    assert code == 3 and "--compose" in err and not out.startswith("{")
 
 
 def test_bad_compose_file_exits_three(happy_run, tmp_path, capsys):

@@ -354,6 +354,14 @@ def test_search_name_is_validated():
         ExplorerConfig(search="iddfs")
 
 
+@pytest.mark.parametrize("budget", [
+    {"max_states": -3}, {"max_seconds": -1.0}, {"max_seconds": float("nan")},
+], ids=["negative-states", "negative-seconds", "nan-seconds"])
+def test_budget_that_bounds_nothing_is_refused(budget):
+    with pytest.raises(ValueError, match="must be at least 0"):
+        ExplorerConfig(**budget)
+
+
 def test_budget_max_states_yields_inconclusive():
     spec = ladder_spec()
     t = Trace([

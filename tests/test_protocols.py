@@ -13,7 +13,7 @@ from tracecheck import (
     Trace,
     validate,
 )
-from tracecheck.cli import main
+from tracecheck.cli import build_parser, main
 from tracecheck.protocols import (
     COMPOSITION,
     Recorder,
@@ -387,8 +387,8 @@ def test_tokenring_invariant_holds_on_correct_run(tmp_path):
 
 
 def tracecheck_cycles(action) -> set[str]:
-    """The tracecheck types among the objects ``action`` leaves in
-    reference cycles."""
+    """The tracecheck and argparse types among the objects ``action``
+    leaves in reference cycles."""
     # With the collector paused, everything left in reference cycles is
     # kept in gc.garbage by the next collection.
     gc.collect()
@@ -397,8 +397,9 @@ def tracecheck_cycles(action) -> set[str]:
     try:
         action()
         gc.collect()
-        return {type(o).__qualname__ for o in gc.garbage
-                if type(o).__module__.startswith("tracecheck")}
+        return {f"{type(o).__module__}.{type(o).__qualname__}"
+                for o in gc.garbage
+                if type(o).__module__.startswith(("tracecheck", "argparse"))}
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
@@ -423,5 +424,6 @@ def test_cli_call_leaves_no_tracecheck_cycles(tmp_path):
         ["run", "tokenring", "--n", "5", "--seed", "2",
          "--out", str(tmp_path / "run"), "--and-validate"],
     ]
+    build_parser()      # built once per process, so not a call's garbage
     for argv in calls:
         assert tracecheck_cycles(lambda: main(argv)) == set(), argv
