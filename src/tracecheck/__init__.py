@@ -12,8 +12,7 @@ from .errors import (BagUnderflow, GuardFailed, MissingClock, OpTypeError,
 from .explorer import (STUTTER, Attempt, ExplorerConfig, FailureReport,
                        Match, Verdict, explain, explored_dot, match_entry,
                        validate)
-from .machine import (ActionSchema, ComposedAction, GuardClause, Spec,
-                      SpecState, step)
+from .machine import ActionSchema, GuardClause, Spec, SpecState, step
 from .tracer import (TRACE_PATH_ENV, Clock, ExplicitClock, FileBasedClock,
                      InMemoryClock, Tracer, VirtualField, get_tracer)
 from .traces import (Trace, TraceEntry, merge, parse_ndjson,
@@ -45,8 +44,7 @@ __all__ = [
     "Tracer", "get_tracer", "VirtualField", "Clock", "InMemoryClock",
     "FileBasedClock", "ExplicitClock", "TRACE_PATH_ENV",
     # machine
-    "SpecState", "GuardClause", "ActionSchema", "ComposedAction", "Spec",
-    "step",
+    "SpecState", "GuardClause", "ActionSchema", "Spec", "step",
     # explorer
     "STUTTER", "ExplorerConfig", "Match", "Attempt", "FailureReport",
     "Verdict", "match_entry", "validate", "explain", "explored_dot",

@@ -141,14 +141,14 @@ def _only_unknown_events(verdict) -> bool:
                                   for a in attempts)
 
 
-def _finish_validation(verdict, spec, trace, args) -> int:
+def _finish_validation(verdict, trace, args) -> int:
     if getattr(args, "dot", None):
         Path(args.dot).write_text(explored_dot(verdict, trace),
                                   encoding="utf-8")
     if getattr(args, "json", False):
         print(json.dumps(verdict.to_jsonable(), indent=2, sort_keys=True))
     else:
-        print(explain(verdict, spec, trace))
+        print(explain(verdict, trace))
     if verdict.accepted:
         return EXIT_ACCEPTED
     if verdict.inconclusive:
@@ -176,7 +176,7 @@ def _cmd_validate(args) -> int:
         verdict = validate(spec, trace, cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return _finish_validation(verdict, spec, trace, args)
+    return _finish_validation(verdict, trace, args)
 
 
 def _cmd_run(args) -> int:
@@ -208,12 +208,10 @@ def _cmd_run(args) -> int:
     print(f"  manifest: {result.manifest_file}")
     if not args.and_validate:
         return EXIT_ACCEPTED
-    composition = dict(result.composition)
-    if args.compose:
-        composition.update(_load_composition(args.compose))
-    cfg2 = ExplorerConfig(allow_stutter=True, composition=composition)
+    cfg2 = ExplorerConfig(allow_stutter=True,
+                          composition=result.composition)
     verdict = validate(result.spec, result.trace, cfg2)
-    return _finish_validation(verdict, result.spec, result.trace, args)
+    return _finish_validation(verdict, result.trace, args)
 
 
 def _cmd_merge(args) -> int:
@@ -314,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--and-validate", action="store_true",
                        help="validate the merged trace right away "
                             "(stutter allowed, run's composition applied)")
-    p_run.add_argument("--compose", metavar="FILE",
-                       help="extra composition mapping for --and-validate")
     p_run.add_argument("--json", action="store_true",
                        help="print the verdict as JSON (with "
                             "--and-validate)")

@@ -20,6 +20,10 @@ by each Value's canonical bytes, so two keys are equal exactly when the
 states are equal and the lines are equal: no digest is taken, and no
 collision can merge distinct nodes.
 
+Every candidate step is a chain of actions: one for an action (each
+valuation a candidate of its own), two or more for a composed event,
+none for the stutter (either one candidate, expanded stage by stage).
+
 Work fixed for a whole validation is done once, in ``_Compiled``: the
 composition map is checked, the candidate steps of each kind of entry
 are listed, and each action's valuations are listed and rendered to
@@ -35,12 +39,15 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import GuardFailed, TracecheckError, UnknownEvent
-from .machine import ActionSchema, ComposedAction, Spec, SpecState, step
+from .machine import ActionSchema, Spec, SpecState, step
 from .traces import Trace, TraceEntry, serialize_entry
 from .values import (Value, apply_entry_updates, render_event_arg,
                      value_to_json)
 
 STUTTER = "(stutter)"
+
+# A candidate step: its name and the actions it fires, in order.
+Step = tuple[str, tuple[ActionSchema, ...]]
 
 
 @dataclass(frozen=True)
@@ -67,7 +74,9 @@ class ExplorerConfig:
             {k: tuple(v) for k, v in self.composition.items()})
 
 
-def _check_composition(spec: Spec, cfg: ExplorerConfig) -> dict[str, ComposedAction]:
+def _check_composition(spec: Spec, cfg: ExplorerConfig
+                       ) -> dict[str, tuple[ActionSchema, ...]]:
+    """Each composed event's stages as the spec's action schemas."""
     out = {}
     for event, stages in cfg.composition.items():
         if len(stages) < 2:
@@ -78,7 +87,7 @@ def _check_composition(spec: Spec, cfg: ExplorerConfig) -> dict[str, ComposedAct
                 raise ValueError(
                     f"composition for {event!r} references unknown "
                     f"action {name!r}")
-        out[event] = ComposedAction(event, tuple(stages))
+        out[event] = tuple(map(spec.action, stages))
     return out
 
 
@@ -87,22 +96,20 @@ class _Compiled:
     each kind of entry may stand for (the composition map checked), and
     each action's valuations with the event-arg strings they render as.
 
-    A step is an ActionSchema, a ComposedAction or STUTTER.  An entry
-    with an event may be only the step of that name (``by_event``; a
-    composed action wins over an action of the same name).  An entry
-    without one may be any step (``eventless``): every action, then
-    every composed action, then the stutter step when it is allowed.
+    An entry with an event may be only the step of that name
+    (``by_event``, name -> stages; a composed action wins over an
+    action of the same name).  An entry without one may be any step
+    (``eventless``): every action, then every composed action, then
+    the stutter step when it is allowed.
     """
 
     def __init__(self, spec: Spec, cfg: ExplorerConfig):
-        composition = _check_composition(spec, cfg)
-        self.by_event: dict[str, ActionSchema | ComposedAction] = {
-            a.name: a for a in spec.actions}
-        self.by_event.update(composition)
-        self.eventless: list[ActionSchema | ComposedAction | str] = [
-            *spec.actions, *composition.values()]
+        steps: list[Step] = [(a.name, (a,)) for a in spec.actions]
+        steps.extend(_check_composition(spec, cfg).items())
+        self.by_event: dict[str, tuple[ActionSchema, ...]] = dict(steps)
         if cfg.allow_stutter:
-            self.eventless.append(STUTTER)
+            steps.append((STUTTER, ()))
+        self.eventless = steps
         self._domains: dict[str, tuple[list[tuple[Value, ...]],
                                        list[tuple[str, ...]]]] = {}
         for schema in spec.actions:
@@ -203,6 +210,8 @@ class Match:
     state: SpecState
     name: str                                     # action/composed/STUTTER
     values: tuple[Value, ...] = ()                # () for composed/STUTTER
+    # Each stage's valuation for a composed step, () for the stutter,
+    # None for an action.
     stage_values: tuple[tuple[Value, ...], ...] | None = None
 
 
@@ -282,18 +291,20 @@ class Verdict:
 
 
 def _expected_values(state: SpecState, entry: TraceEntry
-                     ) -> tuple[dict[str, Value] | None, Attempt | None]:
-    """Replay the entry's updates per variable on the pre-state."""
+                     ) -> dict[str, Value] | Attempt:
+    """Replay the entry's updates per variable on the pre-state: the
+    value each recorded variable must end at, or the UpdateError
+    attempt of the first update that cannot be replayed."""
     expected: dict[str, Value] = {}
     for var, ops in entry.updates.items():
         if var not in state:
-            return None, Attempt("(updates)", "UpdateError", variable=var)
+            return Attempt("(updates)", "UpdateError", variable=var)
         try:
             expected[var] = apply_entry_updates(state[var], ops)
         except TracecheckError as exc:
-            return None, Attempt("(updates)", "UpdateError", variable=var,
-                                 cause=str(exc))
-    return expected, None
+            return Attempt("(updates)", "UpdateError", variable=var,
+                           cause=str(exc))
+    return expected
 
 
 def _first_miss(state: SpecState, expected: dict[str, Value]
@@ -307,11 +318,13 @@ def _first_miss(state: SpecState, expected: dict[str, Value]
     return None
 
 
-def _composed_matches(spec: Spec, state: SpecState, comp: ComposedAction,
-                      event_args: Sequence[str] | None, compiled: _Compiled
-                      ) -> tuple[list[tuple[SpecState, tuple[tuple[Value, ...], ...]]], int]:
-    """All chain outcomes of a composed action, as (state, each stage's
-    valuation), in the order of the stages' valuations and successors.
+def _chain_matches(spec: Spec, state: SpecState,
+                   stages: tuple[ActionSchema, ...],
+                   event_args: Sequence[str] | None, compiled: _Compiled
+                   ) -> tuple[list[tuple[SpecState, tuple[tuple[Value, ...], ...]]], int]:
+    """All outcomes of firing ``stages`` in order, as (state, each
+    stage's valuation), in the order of the stages' valuations and
+    successors.  No stages leave ``state`` as it is: the stutter.
 
     event_args pin the leading parameters of the first stage; later
     stages range over their enabled valuations.  Returns (outcomes,
@@ -320,21 +333,20 @@ def _composed_matches(spec: Spec, state: SpecState, comp: ComposedAction,
     """
     outcomes: list[tuple[SpecState, tuple[tuple[Value, ...], ...]]] = [
         (state, ())]
-    for idx, name in enumerate(comp.stages):
-        schema = spec.action(name)
+    for idx, schema in enumerate(stages):
         pinned = event_args if idx == 0 else None
         extended = []
         for s, used in outcomes:
             for vals in compiled.valuations(schema, pinned):
                 try:
-                    outs = step(spec, s, name, vals)
+                    outs = step(spec, s, schema.name, vals)
                 except GuardFailed:
                     continue
                 extended.extend((t, used + (vals,)) for t in outs)
         if not extended:
             return [], idx
         outcomes = extended
-    return outcomes, len(comp.stages)
+    return outcomes, len(stages)
 
 
 def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
@@ -344,24 +356,23 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
 
     Returns (matches, attempts): matches are deduplicated successor
     states with the step that produced them; attempts explain every
-    candidate that failed.  Raises UnknownEvent when the entry names
-    an event with neither an action nor a composition entry.
+    candidate that failed, an event with neither an action nor a
+    composition entry among them (an UnknownEvent attempt).
     ``compiled`` is the validation's fixed work; it is built from
     ``spec`` and ``cfg`` when not given.
     """
     if compiled is None:
         compiled = _Compiled(spec, cfg)
-    expected, bad = _expected_values(state, entry)
-    if expected is None:
-        assert bad is not None
-        return [], [bad]
+    expected = _expected_values(state, entry)
+    if isinstance(expected, Attempt):
+        return [], [expected]
     if entry.event is None:
-        candidates, event_args = compiled.eventless, None
+        steps, event_args = compiled.eventless, None
     else:
-        named = compiled.by_event.get(entry.event)
-        if named is None:
-            raise UnknownEvent(entry.event)
-        candidates, event_args = (named,), entry.event_args
+        stages = compiled.by_event.get(entry.event)
+        if stages is None:
+            return [], [Attempt(entry.event, "UnknownEvent")]
+        steps, event_args = ((entry.event, stages),), entry.event_args
 
     matches: list[Match] = []
     attempts: list[Attempt] = []
@@ -372,7 +383,7 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
                       ) -> None:
         """Keep each (state, stage values) that agrees with every
         recorded variable; if none does, record the first mismatch.
-        ``values`` is None for a composed step and for the stutter."""
+        ``values`` is None unless the step is a single action."""
         miss = None
         kept = False
         for t, used in outs:
@@ -391,31 +402,31 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
             attempts.append(Attempt(name, "UpdateMismatch", values,
                                     variable=var, expected=want, actual=got))
 
-    for cand in candidates:
-        if cand is STUTTER:
-            keep_agreeing(STUTTER, None, [(state, None)])
-        elif isinstance(cand, ComposedAction):
-            outcomes, deepest = _composed_matches(
-                spec, state, cand, event_args, compiled)
-            if outcomes:
-                keep_agreeing(cand.name, None, outcomes)
-            else:
-                attempts.append(Attempt(
-                    cand.name, "CompositionStageFailed", stage=deepest,
-                    stage_name=cand.stages[deepest]))
-        else:
-            valuations = compiled.valuations(cand, event_args)
+    for name, stages in steps:
+        if len(stages) == 1:
+            # An action: each valuation is a candidate of its own.
+            valuations = compiled.valuations(stages[0], event_args)
             for vals in valuations:
                 try:
-                    outs = step(spec, state, cand.name, vals)
+                    outs = step(spec, state, name, vals)
                 except GuardFailed as exc:
-                    attempts.append(Attempt(cand.name, "GuardFailed", vals,
+                    attempts.append(Attempt(name, "GuardFailed", vals,
                                             cause=exc.description))
                     continue
-                keep_agreeing(cand.name, vals, [(t, None) for t in outs])
+                keep_agreeing(name, vals, [(t, None) for t in outs])
             if not valuations and entry.event is not None:
-                attempts.append(Attempt(cand.name, "NoCandidateAction",
+                attempts.append(Attempt(name, "NoCandidateAction",
                                         event_args=tuple(event_args or ())))
+            continue
+        # A composed step or the stutter: the whole chain is one candidate.
+        outcomes, deepest = _chain_matches(spec, state, stages, event_args,
+                                           compiled)
+        if outcomes:
+            keep_agreeing(name, None, outcomes)
+        else:
+            attempts.append(Attempt(
+                name, "CompositionStageFailed", stage=deepest,
+                stage_name=stages[deepest].name))
 
     if not matches and not attempts:
         attempts.append(Attempt("(none)", "NoCandidateAction"))
@@ -480,13 +491,8 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
         if line == length + 1:
             goal = nid
             break
-        entry = trace[line - 1]
-        try:
-            matches, attempts = match_entry(spec, state, entry, cfg,
-                                            compiled)
-        except UnknownEvent as exc:
-            matches = []
-            attempts = [Attempt(exc.event, "UnknownEvent")]
+        matches, attempts = match_entry(spec, state, trace[line - 1], cfg,
+                                        compiled)
         if not matches:
             dead.append((nid, attempts))
             continue
@@ -553,6 +559,9 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
 
 # --- reporting --------------------------------------------------------
 
+MAX_REPORTS = 5
+
+
 def _duplicate_add_hint(report: FailureReport, entry: TraceEntry) -> str | None:
     """Spot Add-of-present-element updates: the signature of a resent
     message logged as if it were a fresh step."""
@@ -572,9 +581,9 @@ def _duplicate_add_hint(report: FailureReport, entry: TraceEntry) -> str | None:
     return None
 
 
-def explain(verdict: Verdict, spec: Spec, trace: Trace,
-            max_reports: int = 5) -> str:
-    """Human-readable account of a verdict."""
+def explain(verdict: Verdict, trace: Trace) -> str:
+    """Human-readable account of a verdict: at most MAX_REPORTS of its
+    blocked states are listed."""
     lines = []
     lines.append(
         f"{verdict.status()}: consumed {verdict.consumed_max} of "
@@ -594,14 +603,14 @@ def explain(verdict: Verdict, spec: Spec, trace: Trace,
         entry = trace[k - 1]
         lines.append(f"entry {k} cannot be matched from any reached state:")
         lines.append(f"  {serialize_entry(entry)}")
-        for report in verdict.failures[:max_reports]:
+        for report in verdict.failures[:MAX_REPORTS]:
             lines.append(f"  blocked state: {report.state.describe()}")
             for attempt in report.attempts:
                 lines.append(f"    - {attempt.describe()}")
             hint = _duplicate_add_hint(report, entry)
             if hint is not None:
                 lines.append(f"    {hint}")
-        extra = len(verdict.failures) - max_reports
+        extra = len(verdict.failures) - MAX_REPORTS
         if extra > 0:
             lines.append(f"  ... and {extra} more blocked state(s)")
     return "\n".join(lines)

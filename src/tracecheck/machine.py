@@ -132,9 +132,6 @@ class ActionSchema:
         object.__setattr__(self, "_param_names",
                            tuple(n for n, _ in self.params))
 
-    def param_names(self) -> tuple[str, ...]:
-        return self._param_names
-
     def valuations(self) -> Iterable[tuple[Value, ...]]:
         """Cartesian product of the parameter domains, declared order."""
         domains = [dom for _, dom in self.params]
@@ -156,18 +153,6 @@ class ActionSchema:
         return None
 
 
-@dataclass(frozen=True)
-class ComposedAction:
-    """Several actions fused into one trace-level step, in order."""
-
-    name: str
-    stages: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.stages) < 2:
-            raise ValueError("a composed action needs at least 2 stages")
-
-
 @dataclass
 class Spec:
     variables: tuple[str, ...]
@@ -175,7 +160,6 @@ class Spec:
     actions: list[ActionSchema]
     invariants: dict[str, Callable[[SpecState], bool]] = field(
         default_factory=dict)
-    name: str = "spec"
 
     def __post_init__(self):
         if not self.init:

@@ -124,9 +124,10 @@ def finalize_run(protocol: str, out_dir: Path, cfg, files: list[Path],
         "composition": {k: list(v) for k, v in composition.items()},
     }
     manifest_file = out_dir / "manifest.json"
-    manifest_file.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    # No indent: the stdlib encodes that in pure Python, whose nested
+    # closures would leave reference cycles behind every run.
+    manifest_file.write_text(json.dumps(manifest, sort_keys=True) + "\n",
+                             encoding="utf-8")
 
     return RunResult(
         protocol=protocol, out_dir=out_dir, trace_files=list(files),

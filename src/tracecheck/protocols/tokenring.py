@@ -102,7 +102,6 @@ def build_tokenring_spec(n: int) -> Spec:
         init=[init],
         actions=actions,
         invariants={"QuietWhenDetected": quiet_when_detected},
-        name="tokenring",
     )
 
 

@@ -41,9 +41,19 @@ _INIT = VStr("init")
 _DONE = VStr("done")
 
 
+def _check_rms(rms) -> tuple[str, ...]:
+    """The RM names as a tuple, refusing none and repeated names."""
+    rms = tuple(rms)
+    if not rms:
+        raise ValueError("at least one RM required")
+    if len(set(rms)) != len(rms):
+        raise ValueError("duplicate RM names")
+    return rms
+
+
 def build_twophase_spec(rms) -> Spec:
     """The two-phase commit state machine over the given RM names."""
-    rm_names = tuple(rms)
+    rm_names = _check_rms(rms)
     rm_dom = tuple(VStr(r) for r in rm_names)
     all_rms = VSet(rm_dom)
     # Built once per spec, so guards and effects look messages up
@@ -132,7 +142,6 @@ def build_twophase_spec(rms) -> Spec:
         init=[init],
         actions=actions,
         invariants={"TypeOK": type_ok, "Consistent": consistent},
-        name="twophase",
     )
 
 
@@ -154,10 +163,7 @@ class TwoPhaseConfig:
     time_limit: float = 100_000.0
 
     def __post_init__(self):
-        if not self.rms:
-            raise ValueError("at least one RM required")
-        if len(set(self.rms)) != len(self.rms):
-            raise ValueError("duplicate RM names")
+        _check_rms(self.rms)
         if self.record not in RECORD_LEVELS:
             raise ValueError(f"record must be one of {RECORD_LEVELS}")
         if self.bug not in (None, "counter"):

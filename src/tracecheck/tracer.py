@@ -43,8 +43,8 @@ class Clock:
 class InMemoryClock(Clock):
     """Process-local counter; safe to share between threads."""
 
-    def __init__(self, start: int = 0):
-        self._value = start
+    def __init__(self):
+        self._value = 0
         self._lock = threading.Lock()
 
     def next(self) -> int:

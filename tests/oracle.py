@@ -22,9 +22,10 @@ def oracle_validate(spec: Spec, trace: Trace,
     ``validate``; exists as a slow cross-check of the search.
     """
     cfg = cfg or ExplorerConfig()
-    # Each step an entry may stand for, as its tuple of stage names.
-    composed = {event: comp.stages for event, comp
-                in _check_composition(spec, cfg).items()}
+    # Each step an entry may stand for, as its tuple of stage names;
+    # the explorer's check only refuses a bad composition map.
+    _check_composition(spec, cfg)
+    composed = dict(cfg.composition)
     by_event = {a.name: (a.name,) for a in spec.actions}
     by_event.update(composed)
     eventless = [(a.name,) for a in spec.actions] + list(composed.values())

@@ -110,6 +110,13 @@ def test_validate_inconclusive_on_tiny_budget(happy_run, capsys):
          "--trace", str(happy_run / "merged.ndjson")], capsys)
     assert code == 2
     assert "inconclusive" in out
+    code, out, err = run_cli(
+        ["validate", "--spec", "twophase:2", "--max-states", "1", "--json",
+         "--trace", str(happy_run / "merged.ndjson")], capsys)
+    assert code == 2
+    verdict = json.loads(out)
+    assert verdict["status"] == "inconclusive"
+    assert verdict["budget_reason"] == "max_states=1 exceeded"
 
 
 def test_validate_writes_dot(happy_run, tmp_path, capsys):
@@ -177,6 +184,11 @@ def test_usage_errors_exit_three(tmp_path, capsys):
         ["validate", "--spec", "nosuch:2", "--trace", "x.ndjson"],
         ["validate", "--spec", "twophase:", "--trace", "x.ndjson"],
         ["validate", "--spec", "tokenring:x", "--trace", "x.ndjson"],
+        ["validate", "--spec", "tokenring:1", "--trace", "x.ndjson"],
+        # A twophase spec with no RM, or with one RM named twice.
+        ["validate", "--spec", "twophase:0", "--trace", str(abort)],
+        ["validate", "--spec", "twophase:,", "--trace", str(abort)],
+        ["validate", "--spec", "twophase:rm-0,rm-0", "--trace", str(abort)],
         ["validate", "--spec", "twophase:2",
          "--trace", str(tmp_path / "missing.ndjson")],
         ["run", "twophase", "--rms", "0", "--out", str(tmp_path / "o")],
@@ -207,6 +219,16 @@ def test_usage_errors_exit_three(tmp_path, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 3, argv
         assert "error:" in err
+
+
+def test_deadlocked_run_exits_three_with_one_error_line(tmp_path, capsys):
+    # Messages are lost and nothing is resent within the time bound.
+    code, out, err = run_cli(
+        ["run", "twophase", "--rms", "2", "--seed", "0", "--loss", "0.9",
+         "--timeout", "1e9", "--out", str(tmp_path / "d")], capsys)
+    assert code == 3
+    assert err == ("error: virtual time bound 100000.0 exceeded before "
+                   "completion\n")
 
 
 def test_refused_command_line_keeps_argparse_message(capsys):

@@ -42,7 +42,7 @@ def ladder_spec():
         (GuardClause("x > 0", lambda s, p: s["x"].n > 0),),
         lambda s, p: [{"x": VInt(0)}])
     return Spec(variables=("x",), init=[SpecState({"x": VInt(0)})],
-                actions=[upact, down], name="ladder")
+                actions=[upact, down])
 
 
 def stage_spec():
@@ -55,14 +55,13 @@ def stage_spec():
             ActionSchema("A", (), at(0), lambda s, p: [{"x": VInt(1)}]),
             ActionSchema("B", (), at(1), lambda s, p: [{"x": VInt(2)}]),
             ActionSchema("C", (), at(5), lambda s, p: [{"x": VInt(9)}]),
-        ],
-        name="stages")
+        ])
 
 
 def idle_spec():
     """No actions at all: an event-less entry has no candidate."""
     return Spec(variables=("x",), init=[SpecState({"x": VInt(0)})],
-                actions=[], name="idle")
+                actions=[])
 
 
 def twophase_mismatch():
@@ -132,7 +131,7 @@ CASES = {
 def run_case(name):
     spec, trace, cfg = CASES[name]()
     verdict = validate(spec, trace, cfg)
-    return explain(verdict, spec, trace), verdict.to_jsonable()["failures"]
+    return explain(verdict, trace), verdict.to_jsonable()["failures"]
 
 
 # Captured from the checker's output; see the module docstring.

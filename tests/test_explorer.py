@@ -18,7 +18,6 @@ from tracecheck import (
     STUTTER,
     Trace,
     TraceEntry,
-    UnknownEvent,
     UpdateOp,
     explain,
     explored_dot,
@@ -27,7 +26,6 @@ from tracecheck import (
     validate,
 )
 from tracecheck.explorer import step_label
-from tracecheck.machine import ComposedAction
 from tracecheck.protocols import (
     TokenRingConfig,
     TwoPhaseConfig,
@@ -67,8 +65,7 @@ def ladder_spec():
     )
     return Spec(variables=("x",),
                 init=[SpecState({"x": VInt(0)})],
-                actions=[upact, down],
-                name="ladder")
+                actions=[upact, down])
 
 
 def fork_spec():
@@ -79,8 +76,7 @@ def fork_spec():
     )
     return Spec(variables=("x",),
                 init=[SpecState({"x": VInt(0)})],
-                actions=[fork],
-                name="fork")
+                actions=[fork])
 
 
 def stage_spec():
@@ -96,8 +92,7 @@ def stage_spec():
                      lambda s, p: [{"x": VInt(9)}])
     return Spec(variables=("x",),
                 init=[SpecState({"x": VInt(0)})],
-                actions=[a, b, c],
-                name="stages")
+                actions=[a, b, c])
 
 
 # --- match_entry -------------------------------------------------------
@@ -135,11 +130,13 @@ def test_match_update_mismatch_reports_expected_and_actual():
     assert mis[0].actual == VInt(1)
 
 
-def test_match_unknown_event_raises():
+def test_match_unknown_event_is_an_attempt():
     spec = ladder_spec()
     e = entry(1, event="Teleport")
-    with pytest.raises(UnknownEvent):
-        match_entry(spec, spec.init[0], e, ExplorerConfig())
+    matches, attempts = match_entry(spec, spec.init[0], e, ExplorerConfig())
+    assert matches == []
+    assert [(a.candidate, a.reason) for a in attempts] == [
+        ("Teleport", "UnknownEvent")]
 
 
 def test_match_no_valuation_for_overlong_args():
@@ -184,6 +181,7 @@ def test_eventless_unchanged_entry_needs_stutter():
                               ExplorerConfig(allow_stutter=True))
     assert [m.name for m in matches2] == [STUTTER]
     assert matches2[0].state == spec.init[0]
+    assert matches2[0].stage_values == ()
 
 
 def test_stutter_refused_when_a_variable_changes():
@@ -423,18 +421,16 @@ def replay_witness(spec, trace, verdict, composition=None):
             e = trace[k]
             expected = {v: apply_entry_updates(cur[v], ops)
                         for v, ops in e.updates.items()}
-            if w.name == STUTTER:
-                nxt_candidates = [cur]
-            elif w.stage_values is not None:
-                comp = ComposedAction(w.name, tuple(composition[w.name]))
-                nxt_candidates = []
+            if w.stage_values is not None:
+                # A chain: a composed step's stages, or the stutter's none.
+                stages = () if w.name == STUTTER else composition[w.name]
+                assert len(stages) == len(w.stage_values)
                 frontier = [cur]
-                for k, vals in enumerate(w.stage_values):
+                for name, vals in zip(stages, w.stage_values):
                     nxt = []
                     for m in frontier:
                         try:
-                            nxt.extend(step(spec, m, comp.stages[k],
-                                            list(vals)))
+                            nxt.extend(step(spec, m, name, list(vals)))
                         except Exception:
                             pass
                     frontier = nxt
@@ -574,12 +570,11 @@ def test_explain_mentions_duplicate_add_resend_hint():
         "Grow", (),
         (GuardClause("never", lambda s, p: False),),
         lambda s, p: [{}])
-    spec = Spec(variables=("s",), init=[base], actions=[add_again],
-                name="dup")
+    spec = Spec(variables=("s",), init=[base], actions=[add_again])
     t = Trace([entry(1, {"s": up("Add", "a")})])
     v = validate(spec, t)
     assert not v.accepted
-    text = explain(v, spec, t)
+    text = explain(v, t)
     assert "re-adds an element already present" in text
     assert "--allow-stutter" in text
 
@@ -589,7 +584,7 @@ def test_explain_accepted_shows_witness():
     t = Trace([entry(1, {"x": up("Update", 1)}, event="Up",
                      event_args=["1"])])
     v = validate(spec, t)
-    text = explain(v, spec, t)
+    text = explain(v, t)
     assert text.startswith("accepted: consumed 1 of 1")
     assert "entry 1: Up(1)" in text
 
@@ -599,10 +594,28 @@ def test_explain_rejected_lists_attempts():
     t = Trace([entry(1, {"x": up("Update", 5)}, event="Up",
                      event_args=["5"])])
     v = validate(spec, t)
-    text = explain(v, spec, t)
+    text = explain(v, t)
     assert "rejected" in text
     assert "cannot be matched" in text
     assert "guard failed" in text
+
+
+def test_explain_caps_the_blocked_states_it_lists():
+    # Set(k) reaches 8 states; Stop is refused in each of them.
+    dom = tuple(VInt(i) for i in range(8))
+    spec = Spec(variables=("x",), init=[SpecState({"x": VInt(0)})],
+                actions=[ActionSchema("Set", (("k", dom),), (),
+                                      lambda s, p: [{"x": p["k"]}]),
+                         ActionSchema("Stop", (),
+                                      (GuardClause("never",
+                                                   lambda s, p: False),),
+                                      lambda s, p: [{}])])
+    t = Trace([entry(1, event="Set"), entry(2, event="Stop")])
+    v = validate(spec, t)
+    assert len(v.failures) == 8
+    text = explain(v, t)
+    assert text.count("blocked state: ") == 5
+    assert text.endswith("\n  ... and 3 more blocked state(s)")
 
 
 def test_verdict_jsonable_shape():

@@ -5,7 +5,6 @@ from oracle import explore
 
 from tracecheck import (
     ActionSchema,
-    ComposedAction,
     ExplorerConfig,
     GuardClause,
     GuardFailed,
@@ -39,7 +38,6 @@ def counter_spec(limit=3):
         init=[SpecState({"x": VInt(0)})],
         actions=[inc, reset],
         invariants={"InRange": lambda s: 0 <= s["x"].n <= limit},
-        name="counter",
     )
 
 
@@ -171,8 +169,11 @@ def test_two_phase_invariants_hold_everywhere():
 
 
 def test_composed_action_needs_two_stages():
-    with pytest.raises(ValueError):
-        ComposedAction("Solo", ("A",))
+    spec = counter_spec()
+    cfg = ExplorerConfig(composition={"Solo": ("Inc",)})
+    e = TraceEntry(clock=1, updates={}, event="Solo")
+    with pytest.raises(ValueError, match="needs at least 2 stages"):
+        match_entry(spec, spec.init[0], e, cfg)
 
 
 def test_step_composed_first_stage_blocked_raises():
@@ -184,7 +185,7 @@ def test_step_composed_first_stage_blocked_raises():
                      (GuardClause("x = 1", lambda s, p: s["x"] == VInt(1)),),
                      lambda s, p: [{"x": VInt(2)}])
     spec = Spec(variables=("x",), init=[SpecState({"x": VInt(0)})],
-                actions=[a, b], name="combo")
+                actions=[a, b])
     cfg = ExplorerConfig(composition={"BA": ("B", "A")})
     e = TraceEntry(clock=1, updates={}, event="BA")
     matches, attempts = match_entry(spec, spec.init[0], e, cfg)

@@ -60,6 +60,13 @@ def test_variable_updates_shape():
     bad({"clock": 0, "x": [{"op": "Update", "path": []}]}, "args")
     bad({"clock": 0, "x": [{"op": "Frob", "path": [], "args": []}]},
         "not an operator")
+    bad({"clock": 0, "x": [3]}, "is not an object")
+    bad({"clock": 0, "x": [{"op": 1, "path": [], "args": []}]},
+        "op for 'x' must be a string")
+    bad({"clock": 0, "x": [{"op": "Update", "path": "a", "args": []}]},
+        "path for 'x' must be an array")
+    bad({"clock": 0, "x": [{"op": "Update", "path": [], "args": 1}]},
+        "args for 'x' must be an array")
 
 
 def test_keys_resembling_reserved_names_are_variables():
