@@ -66,7 +66,7 @@ def _parse_spec_arg(text: str) -> Spec:
         if rest.isdigit():
             rms = rm_names(int(rest))
         else:
-            rms = tuple(x for x in rest.split(",") if x)
+            rms = rest.split(",")
         try:
             return build_twophase_spec(rms)
         except ValueError as exc:

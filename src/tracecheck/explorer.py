@@ -23,13 +23,22 @@ collision can merge distinct nodes.
 Every candidate step is a chain of actions: one for an action (each
 valuation a candidate of its own), two or more for a composed event,
 none for the stutter (either one candidate, expanded stage by stage).
+A step's frame is the union of its actions' frames (``writes``), so the
+stutter's is empty; one undeclared frame leaves the step's undeclared.
 
 Work fixed for a whole validation is done once, in ``_Compiled``: the
 composition map is checked, the candidate steps of each kind of entry
-are listed, and each action's valuations are listed and rendered to
-event-arg strings, so a node only looks them up.
-A candidate that fails is kept as an ``Attempt`` of plain facts; its
-text is rendered only when a report reads it.
+are listed with their frames, and each action's valuations are listed
+and rendered to event-arg strings, so a node only looks them up.
+
+The search needs only each node's matches.  It skips every step whose
+frame leaves out a recorded variable the entry changes (such a step
+keeps that variable, so it cannot match), and it builds no ``Attempt``:
+it keeps only the ids of dead nodes.  The attempts that explain a
+rejection are built afterwards, by matching again without pruning, for
+the dead nodes at the deepest entry, the only ones a verdict reports.
+An attempt holds plain facts; its text is rendered only when a report
+reads it.
 """
 
 from __future__ import annotations
@@ -46,8 +55,9 @@ from .values import (Value, apply_entry_updates, render_event_arg,
 
 STUTTER = "(stutter)"
 
-# A candidate step: its name and the actions it fires, in order.
-Step = tuple[str, tuple[ActionSchema, ...]]
+# A candidate step: its name, the actions it fires in order, and its
+# frame (None when some action leaves its frame undeclared).
+Step = tuple[str, tuple[ActionSchema, ...], frozenset[str] | None]
 
 
 @dataclass(frozen=True)
@@ -91,24 +101,38 @@ def _check_composition(spec: Spec, cfg: ExplorerConfig
     return out
 
 
+def _frame(stages: tuple[ActionSchema, ...]) -> frozenset[str] | None:
+    """The variables a chain of actions may bind: the union of their
+    frames, or None when any of them declares none."""
+    frame: frozenset[str] = frozenset()
+    for schema in stages:
+        if schema.writes is None:
+            return None
+        frame |= schema.writes
+    return frame
+
+
 class _Compiled:
     """What stays fixed for one validation, worked out once: the steps
-    each kind of entry may stand for (the composition map checked), and
-    each action's valuations with the event-arg strings they render as.
+    each kind of entry may stand for, with their frames (the
+    composition map checked), and each action's valuations with the
+    event-arg strings they render as.
 
     An entry with an event may be only the step of that name
-    (``by_event``, name -> stages; a composed action wins over an
-    action of the same name).  An entry without one may be any step
+    (``by_event``, name -> step; a composed action wins over an action
+    of the same name).  An entry without one may be any step
     (``eventless``): every action, then every composed action, then
     the stutter step when it is allowed.
     """
 
     def __init__(self, spec: Spec, cfg: ExplorerConfig):
-        steps: list[Step] = [(a.name, (a,)) for a in spec.actions]
-        steps.extend(_check_composition(spec, cfg).items())
-        self.by_event: dict[str, tuple[ActionSchema, ...]] = dict(steps)
+        chains = [(a.name, (a,)) for a in spec.actions]
+        chains.extend(_check_composition(spec, cfg).items())
+        steps: list[Step] = [(name, stages, _frame(stages))
+                             for name, stages in chains]
+        self.by_event: dict[str, Step] = {st[0]: st for st in steps}
         if cfg.allow_stutter:
-            steps.append((STUTTER, ()))
+            steps.append((STUTTER, (), frozenset()))
         self.eventless = steps
         self._domains: dict[str, tuple[list[tuple[Value, ...]],
                                        list[tuple[str, ...]]]] = {}
@@ -149,8 +173,7 @@ class Attempt:
     """One candidate that failed to match an entry, and why.
 
     It holds only facts; ``detail`` renders them as text when it is
-    read, so the attempts of nodes that are never reported cost no
-    rendering.
+    read.
     """
 
     candidate: str
@@ -350,7 +373,8 @@ def _chain_matches(spec: Spec, state: SpecState,
 
 
 def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
-                cfg: ExplorerConfig, compiled: _Compiled | None = None
+                cfg: ExplorerConfig, compiled: _Compiled | None = None,
+                *, prune: bool = False
                 ) -> tuple[list[Match], list[Attempt]]:
     """All distinct ways to consume ``entry`` from ``state``.
 
@@ -360,19 +384,30 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
     composition entry among them (an UnknownEvent attempt).
     ``compiled`` is the validation's fixed work; it is built from
     ``spec`` and ``cfg`` when not given.
+
+    With ``prune``, the matches are the same, in the same order, for
+    less work: every step whose frame leaves out a recorded variable
+    the entry changes is skipped, and no attempt is kept (``attempts``
+    comes back empty).
     """
     if compiled is None:
         compiled = _Compiled(spec, cfg)
     expected = _expected_values(state, entry)
     if isinstance(expected, Attempt):
-        return [], [expected]
+        return [], [] if prune else [expected]
     if entry.event is None:
         steps, event_args = compiled.eventless, None
     else:
-        stages = compiled.by_event.get(entry.event)
-        if stages is None:
-            return [], [Attempt(entry.event, "UnknownEvent")]
-        steps, event_args = ((entry.event, stages),), entry.event_args
+        named = compiled.by_event.get(entry.event)
+        if named is None:
+            return [], [] if prune else [Attempt(entry.event,
+                                                 "UnknownEvent")]
+        steps, event_args = (named,), entry.event_args
+    # The recorded variables the entry changes.  A step keeps every
+    # variable outside its frame, so one that leaves any of them out
+    # cannot match.
+    changed = [v for v, want in expected.items()
+               if state[v] != want] if prune else ()
 
     matches: list[Match] = []
     attempts: list[Attempt] = []
@@ -397,12 +432,14 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
             if fp not in seen:
                 seen.add(fp)
                 matches.append(Match(t, name, values or (), used))
-        if not kept and miss is not None:
+        if not prune and not kept and miss is not None:
             var, want, got = miss
             attempts.append(Attempt(name, "UpdateMismatch", values,
                                     variable=var, expected=want, actual=got))
 
-    for name, stages in steps:
+    for name, stages, writes in steps:
+        if writes is not None and not writes.issuperset(changed):
+            continue
         if len(stages) == 1:
             # An action: each valuation is a candidate of its own.
             valuations = compiled.valuations(stages[0], event_args)
@@ -410,11 +447,12 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
                 try:
                     outs = step(spec, state, name, vals)
                 except GuardFailed as exc:
-                    attempts.append(Attempt(name, "GuardFailed", vals,
-                                            cause=exc.description))
+                    if not prune:
+                        attempts.append(Attempt(name, "GuardFailed", vals,
+                                                cause=exc.description))
                     continue
                 keep_agreeing(name, vals, [(t, None) for t in outs])
-            if not valuations and entry.event is not None:
+            if not prune and not valuations and entry.event is not None:
                 attempts.append(Attempt(name, "NoCandidateAction",
                                         event_args=tuple(event_args or ())))
             continue
@@ -423,12 +461,12 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
                                            compiled)
         if outcomes:
             keep_agreeing(name, None, outcomes)
-        else:
+        elif not prune:
             attempts.append(Attempt(
                 name, "CompositionStageFailed", stage=deepest,
                 stage_name=stages[deepest].name))
 
-    if not matches and not attempts:
+    if not prune and not matches and not attempts:
         attempts.append(Attempt("(none)", "NoCandidateAction"))
     return matches, attempts
 
@@ -441,6 +479,9 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
     in distinct_states (DFS stops at the first witness) and in the
     order of diagnostics.  Exceeding max_states/max_seconds yields an
     inconclusive verdict, never a rejection.
+
+    The search matches with pruning; the attempts of each reported
+    dead node come from matching it again in full once the search ends.
     """
     cfg = cfg or ExplorerConfig()
     compiled = _Compiled(spec, cfg)
@@ -452,7 +493,7 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
     ids: dict[tuple[tuple, int], int] = {}
     parent: list[tuple[int, Match] | None] = []
     edges: list[tuple[int, str, tuple[Value, ...], int]] = []
-    dead: list[tuple[int, list[Attempt]]] = []
+    dead: list[int] = []                 # nodes no step could leave
 
     def add(key: tuple[tuple, int], state: SpecState, line: int,
             via: tuple[int, Match] | None) -> int:
@@ -491,10 +532,10 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
         if line == length + 1:
             goal = nid
             break
-        matches, attempts = match_entry(spec, state, trace[line - 1], cfg,
-                                        compiled)
+        matches, _ = match_entry(spec, state, trace[line - 1], cfg,
+                                 compiled, prune=True)
         if not matches:
-            dead.append((nid, attempts))
+            dead.append(nid)
             continue
         succ_ids = []
         for m in matches:
@@ -535,11 +576,13 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
     failures = []
     if not accepted:
         deepest = consumed_max + 1
-        for nid, attempts in dead:
+        for nid in dead:
             if lines[nid] == deepest:
+                _, attempts = match_entry(spec, states[nid],
+                                          trace[deepest - 1], cfg, compiled)
                 failures.append(FailureReport(
                     entry_index=deepest, state=states[nid],
-                    attempts=list(attempts), node=nid))
+                    attempts=attempts, node=nid))
 
     return Verdict(
         accepted=accepted,

@@ -4,7 +4,12 @@ A spec declares variables, one or more initial states, guarded actions
 over finite parameter domains, and named invariants.  Actions are
 generators, not two-state predicates: an effect returns the variables
 it changes and everything unbound is copied from the pre-state, so
-"unchanged" never has to be spelled out.
+"unchanged" never has to be spelled out.  An action may still declare
+its frame (``writes``), the variables its effect may bind: the analogue
+of TLA+'s ``UNCHANGED`` clause, read the other way round.  The trace
+explorer uses frames to skip actions that cannot make an entry's
+recorded changes, so ``step`` refuses an effect that binds a variable
+outside its declared frame.
 
 Guards are lists of named clauses; the first false clause's
 description is reported when a step is refused, which is what the
@@ -127,10 +132,15 @@ class ActionSchema:
     params: tuple[tuple[str, tuple[Value, ...]], ...]
     guard: tuple[GuardClause, ...]
     effect: Effect
+    # The frame: every variable the effect may bind.  None means it may
+    # bind any variable.
+    writes: frozenset[str] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "_param_names",
                            tuple(n for n, _ in self.params))
+        if self.writes is not None:
+            object.__setattr__(self, "writes", frozenset(self.writes))
 
     def valuations(self) -> Iterable[tuple[Value, ...]]:
         """Cartesian product of the parameter domains, declared order."""
@@ -181,11 +191,16 @@ class Spec:
         return self._by_name.get(name)
 
 
-def _complete(spec: Spec, pre: SpecState,
+def _complete(spec: Spec, schema: ActionSchema, pre: SpecState,
               partial: dict[str, Value]) -> SpecState:
     if not spec._declared.issuperset(partial):
         unknown = set(partial) - spec._declared
         raise ValueError(f"effect wrote undeclared variables: {sorted(unknown)}")
+    writes = schema.writes
+    if writes is not None and not writes.issuperset(partial):
+        outside = set(partial) - writes
+        raise ValueError(f"{schema.name}: effect wrote variables outside "
+                         f"its frame: {sorted(outside)}")
     return pre.updated(partial)
 
 
@@ -194,7 +209,8 @@ def step(spec: Spec, state: SpecState, action_name: str,
     """All successors of firing one action instance.
 
     Raises GuardFailed (with the failing clause's description) when the
-    instance is not enabled.
+    instance is not enabled, and ValueError when the effect binds a
+    variable the spec does not declare or the action's frame leaves out.
     """
     schema = spec.action(action_name)
     if schema is None:
@@ -208,4 +224,4 @@ def step(spec: Spec, state: SpecState, action_name: str,
         raise ValueError(
             f"{action_name}: effect produced no successor despite a "
             "true guard")
-    return [_complete(spec, state, p) for p in partials]
+    return [_complete(spec, schema, state, p) for p in partials]

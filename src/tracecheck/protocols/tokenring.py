@@ -59,7 +59,8 @@ def build_tokenring_spec(n: int) -> Spec:
             "Deactivate", (("i", ids),),
             (GuardClause("node i is active",
                          lambda s, p: is_active(s, p["i"].n)),),
-            deactivate),
+            deactivate,
+            writes=frozenset({"active"})),
         ActionSchema(
             "PassToken", (("i", ids),),
             (GuardClause("node i holds the token",
@@ -70,7 +71,8 @@ def build_tokenring_spec(n: int) -> Spec:
                          lambda s, p: not is_active(s, p["i"].n)),
              GuardClause("termination not yet detected",
                          lambda s, p: s["detected"] == _FALSE)),
-            lambda s, p: [{"token": ids[p["i"].n - 1]}]),
+            lambda s, p: [{"token": ids[p["i"].n - 1]}],
+            writes=frozenset({"token"})),
         ActionSchema(
             # No detected-clause here: the probe may be relaunched right
             # after detection, which is what DetectAndInit composes.
@@ -79,7 +81,8 @@ def build_tokenring_spec(n: int) -> Spec:
                          lambda s, p: s["token"] == ids[0]),
              GuardClause("the initiator is inactive",
                          lambda s, p: not is_active(s, 0))),
-            lambda s, p: [{"token": ids[n - 1]}]),
+            lambda s, p: [{"token": ids[n - 1]}],
+            writes=frozenset({"token"})),
         ActionSchema(
             "DetectTermination", (),
             (GuardClause("the initiator holds the token",
@@ -89,7 +92,8 @@ def build_tokenring_spec(n: int) -> Spec:
                                           for i in range(n))),
              GuardClause("termination not yet detected",
                          lambda s, p: s["detected"] == _FALSE)),
-            lambda s, p: [{"detected": _TRUE}]),
+            lambda s, p: [{"detected": _TRUE}],
+            writes=frozenset({"detected"})),
     ]
 
     def quiet_when_detected(s: SpecState) -> bool:

@@ -42,10 +42,13 @@ _DONE = VStr("done")
 
 
 def _check_rms(rms) -> tuple[str, ...]:
-    """The RM names as a tuple, refusing none and repeated names."""
+    """The RM names as a tuple, refusing none, empty and repeated
+    names."""
     rms = tuple(rms)
     if not rms:
         raise ValueError("at least one RM required")
+    if "" in rms:
+        raise ValueError("empty RM name")
     if len(set(rms)) != len(rms):
         raise ValueError("duplicate RM names")
     return rms
@@ -85,17 +88,20 @@ def build_twophase_spec(rms) -> Spec:
             lambda s, p: [{
                 "rmState": set_rm_state(s, p, "prepared"),
                 "msgs": s["msgs"].with_element(prepared_msg[p["r"].text]),
-            }]),
+            }],
+            writes=frozenset({"rmState", "msgs"})),
         ActionSchema(
             "RMRcvCommitMsg", (("r", rm_dom),),
             (GuardClause("a Commit message is in msgs",
                          lambda s, p: _COMMIT_MSG in s["msgs"]),),
-            lambda s, p: [{"rmState": set_rm_state(s, p, "committed")}]),
+            lambda s, p: [{"rmState": set_rm_state(s, p, "committed")}],
+            writes=frozenset({"rmState"})),
         ActionSchema(
             "RMRcvAbortMsg", (("r", rm_dom),),
             (GuardClause("an Abort message is in msgs",
                          lambda s, p: _ABORT_MSG in s["msgs"]),),
-            lambda s, p: [{"rmState": set_rm_state(s, p, "aborted")}]),
+            lambda s, p: [{"rmState": set_rm_state(s, p, "aborted")}],
+            writes=frozenset({"rmState"})),
         ActionSchema(
             "TMRcvPrepared", (("r", rm_dom),),
             (tm_undecided,
@@ -104,7 +110,8 @@ def build_twophase_spec(rms) -> Spec:
                          prepared_msg[p["r"].text] in s["msgs"])),
             lambda s, p: [{
                 "tmPrepared": s["tmPrepared"].with_element(p["r"]),
-            }]),
+            }],
+            writes=frozenset({"tmPrepared"})),
         ActionSchema(
             "TMCommit", (),
             (tm_undecided,
@@ -113,14 +120,16 @@ def build_twophase_spec(rms) -> Spec:
             lambda s, p: [{
                 "tmState": _DONE,
                 "msgs": s["msgs"].with_element(_COMMIT_MSG),
-            }]),
+            }],
+            writes=frozenset({"tmState", "msgs"})),
         ActionSchema(
             "TMAbort", (),
             (tm_undecided,),
             lambda s, p: [{
                 "tmState": _DONE,
                 "msgs": s["msgs"].with_element(_ABORT_MSG),
-            }]),
+            }],
+            writes=frozenset({"tmState", "msgs"})),
     ]
 
     legal = tuple(rm_state.values())

@@ -3,7 +3,9 @@
 ``oracle_validate`` decides acceptance by enumerating behaviors
 outright, and ``explore`` walks a spec's whole reachable state graph.
 Neither shares matching code with ``tracecheck.explorer``: from it they
-take only the configuration and its composition check.
+take only the configuration and its composition check.  Both ignore
+action frames: where the search skips a step whose frame cannot make
+an entry's recorded changes, the oracle still fires it.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import tracecheck
 from tracecheck.cli import main
+from tracecheck.protocols import build_twophase_spec
 
 
 def run_cli(argv, capsys):
@@ -189,6 +191,9 @@ def test_usage_errors_exit_three(tmp_path, capsys):
         ["validate", "--spec", "twophase:0", "--trace", str(abort)],
         ["validate", "--spec", "twophase:,", "--trace", str(abort)],
         ["validate", "--spec", "twophase:rm-0,rm-0", "--trace", str(abort)],
+        # An empty RM name, at the end or between two others.
+        ["validate", "--spec", "twophase:rm-0,", "--trace", str(abort)],
+        ["validate", "--spec", "twophase:rm-0,,rm-1", "--trace", str(abort)],
         ["validate", "--spec", "twophase:2",
          "--trace", str(tmp_path / "missing.ndjson")],
         ["run", "twophase", "--rms", "0", "--out", str(tmp_path / "o")],
@@ -219,6 +224,26 @@ def test_usage_errors_exit_three(tmp_path, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 3, argv
         assert "error:" in err
+
+
+def test_effect_outside_its_frame_exits_three(tmp_path, capsys,
+                                             monkeypatch):
+    # TMAbort's frame leaves out msgs, which its effect binds.
+    def misframed(rms):
+        spec = build_twophase_spec(rms)
+        actions = [dataclasses.replace(a, writes=frozenset({"tmState"}))
+                   if a.name == "TMAbort" else a for a in spec.actions]
+        return tracecheck.Spec(spec.variables, spec.init, actions,
+                               spec.invariants)
+
+    monkeypatch.setattr("tracecheck.cli.build_twophase_spec", misframed)
+    abort = tmp_path / "abort.ndjson"
+    abort.write_text('{"clock":0,"event":"TMAbort"}\n')
+    code, out, err = run_cli(
+        ["validate", "--spec", "twophase:2", "--trace", str(abort)], capsys)
+    assert code == 3
+    assert err == ("error: TMAbort: effect wrote variables outside its "
+                   "frame: ['msgs']\n")
 
 
 def test_deadlocked_run_exits_three_with_one_error_line(tmp_path, capsys):

@@ -250,6 +250,37 @@ def test_composed_update_mismatch():
     assert attempts[0].reason == "UpdateMismatch"
 
 
+def test_pruning_skips_only_steps_whose_frame_misses_a_change(
+        monkeypatch):
+    # Free has no frame, so it is never pruned; OnlyY and the stutter
+    # cannot change x, so an entry that changes x prunes them.
+    free = ActionSchema("Free", (), (), lambda s, p: [{"x": VInt(1)}])
+    only_x = ActionSchema("OnlyX", (), (), lambda s, p: [{"x": VInt(2)}],
+                          writes=frozenset({"x"}))
+    only_y = ActionSchema("OnlyY", (), (), lambda s, p: [{"y": VInt(1)}],
+                          writes=frozenset({"y"}))
+    spec = Spec(variables=("x", "y"),
+                init=[SpecState({"x": VInt(0), "y": VInt(0)})],
+                actions=[free, only_x, only_y])
+    cfg = ExplorerConfig(allow_stutter=True)
+    fired = []
+
+    def counting_step(spec, state, name, values):
+        fired.append(name)
+        return step(spec, state, name, values)
+
+    monkeypatch.setattr("tracecheck.explorer.step", counting_step)
+    e = entry(1, {"x": up("Update", 1)})
+    full, attempts = match_entry(spec, spec.init[0], e, cfg)
+    assert fired == ["Free", "OnlyX", "OnlyY"]
+    assert len(attempts) == 3             # OnlyX, OnlyY and the stutter
+    fired.clear()
+    pruned, none = match_entry(spec, spec.init[0], e, cfg, prune=True)
+    assert fired == ["Free", "OnlyX"]
+    assert none == []
+    assert [m.name for m in pruned] == [m.name for m in full] == ["Free"]
+
+
 def test_eventless_entry_may_be_a_composed_action():
     # x goes 0 -> 2 in one entry: no single action does that, AB does.
     spec = stage_spec()

@@ -14,7 +14,8 @@ from tracecheck import (
     match_entry,
     step,
 )
-from tracecheck.protocols import build_twophase_spec, rm_names
+from tracecheck.protocols import (build_tokenring_spec, build_twophase_spec,
+                                  rm_names)
 from tracecheck.values import VInt, VSet, VStr, mk
 
 
@@ -111,6 +112,27 @@ def test_effect_writing_undeclared_variable_is_an_error():
                 actions=[bad])
     with pytest.raises(ValueError):
         step(spec, spec.init[0], "Bad", ())
+
+
+def test_effect_writing_outside_its_frame_is_an_error():
+    framed = ActionSchema("Framed", (), (),
+                          lambda s, p: [{"x": VInt(1), "y": VInt(1)}],
+                          writes=frozenset({"x"}))
+    spec = Spec(variables=("x", "y"),
+                init=[SpecState({"x": VInt(0), "y": VInt(0)})],
+                actions=[framed])
+    with pytest.raises(ValueError, match=r"outside its frame: \['y'\]"):
+        step(spec, spec.init[0], "Framed", ())
+
+
+@pytest.mark.parametrize("spec", [build_twophase_spec(rm_names(2)),
+                                  build_tokenring_spec(3)],
+                         ids=["twophase", "tokenring"])
+def test_bundled_specs_declare_every_frame(spec):
+    assert all(a.writes is not None for a in spec.actions)
+    # Firing every enabled action in every reachable state would raise
+    # if an effect bound a variable outside its declared frame.
+    explore(spec)
 
 
 def test_empty_effect_is_an_error():

@@ -5,7 +5,8 @@ with the linear definitions and full rebuilds they replace, and the
 ``SpecState`` dedup key must be equal exactly when bindings are equal.
 The trace reader must read back whatever the Tracer writes, and turn
 any other text into an entry or a TracecheckError; the CLI must exit
-0-3 on it.  Only this module needs hypothesis.
+0-3 on it.  Matching pruned by frames must give the same matches as
+matching every step.  Only this module needs hypothesis.
 """
 
 from __future__ import annotations
@@ -19,9 +20,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tracecheck import (SpecState, TracecheckError, Tracer, VBag, VBool,
-                        VInt, VRec, VSeq, VSet, VStr, read_trace_file)
+from tracecheck import (ExplorerConfig, SpecState, Trace, TracecheckError,
+                        Tracer, VBag, VBool, VInt, VRec, VSeq, VSet, VStr,
+                        match_entry, read_trace_file)
 from tracecheck.cli import main
+from tracecheck.explorer import _Compiled
+from tracecheck.protocols import (TokenRingConfig, TwoPhaseConfig,
+                                  rm_names, run_tokenring, run_twophase)
 from tracecheck.traces import decode_line
 
 I64_MIN = -(2 ** 63)
@@ -207,3 +212,73 @@ def _exit_codes(text: str) -> list[int]:
 def test_cli_exits_zero_to_three_on_any_lines(lines):
     for code in _exit_codes("\n".join(lines) + "\n"):
         assert code in (0, 1, 2, 3)
+
+
+# --- frame pruning ------------------------------------------------------
+
+_PRUNE_LEVELS = ("v", "vpea", "vea", "e")
+
+
+@pytest.fixture(scope="module")
+def seeded_runs():
+    """(spec, trace, composition) of faithful and buggy twophase and
+    tokenring runs at every level that records variables, and at e.
+    The faithful twophase runs log a resend as a stutter entry."""
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for level in _PRUNE_LEVELS:
+            for seed, bug in enumerate((None, "counter")):
+                res = run_twophase(TwoPhaseConfig(
+                    rms=rm_names(2), seed=seed, record=level, bug=bug,
+                    force_resend=True,
+                    resend_logging="silent" if bug else "stutter"),
+                    os.path.join(tmp, f"2pc-{level}-{seed}"))
+                runs.append((res.spec, res.trace, res.composition))
+            for seed, bug in enumerate((None, "self-message",
+                                        "eternal-token")):
+                res = run_tokenring(TokenRingConfig(
+                    n=3, seed=seed, record=level, bug=bug),
+                    os.path.join(tmp, f"ring-{level}-{seed}"))
+                runs.append((res.spec, res.trace, res.composition))
+    return runs
+
+
+def _match_keys(matches):
+    return [(m.state.fingerprint(), m.name, m.values, m.stage_values)
+            for m in matches]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pruned_matching_gives_the_same_matches(seeded_runs, data):
+    spec, trace, composition = data.draw(st.sampled_from(seeded_runs))
+    entries = list(trace)
+    drop = data.draw(st.none() | st.integers(0, len(entries) - 1))
+    if drop is not None:
+        del entries[drop]
+    cfg = ExplorerConfig(
+        allow_stutter=data.draw(st.booleans()),
+        composition=composition if data.draw(st.booleans()) else {})
+    compiled = _Compiled(spec, cfg)
+    # Walk the explored graph breadth first, up to a few hundred nodes,
+    # matching every node both ways.
+    frontier = [(s, 1) for s in dict.fromkeys(spec.init)]
+    seen = set(frontier)
+    dead = {True: set(), False: set()}
+    for state, line in frontier:
+        if line > len(entries) or len(seen) > 300:
+            continue
+        full, _ = match_entry(spec, state, entries[line - 1], cfg, compiled)
+        pruned, attempts = match_entry(spec, state, entries[line - 1], cfg,
+                                       compiled, prune=True)
+        assert attempts == []
+        assert _match_keys(pruned) == _match_keys(full)
+        for was_pruned, matches in ((True, pruned), (False, full)):
+            if not matches:
+                dead[was_pruned].add((state, line))
+        for m in full:
+            node = (m.state, line + 1)
+            if node not in seen:
+                seen.add(node)
+                frontier.append(node)
+    assert dead[True] == dead[False]
