@@ -8,7 +8,7 @@ behavior that explains the whole trace.
 
 from .errors import (BagUnderflow, GuardFailed, MissingClock, OpTypeError,
                      ParseError, PathError, SchemaError, SimDeadlock,
-                     TracecheckError, UnknownEvent, UnknownOp)
+                     TracecheckError, UnknownOp)
 from .explorer import (STUTTER, Attempt, ExplorerConfig, FailureReport,
                        Match, Verdict, explain, explored_dot, match_entry,
                        validate)
@@ -30,7 +30,7 @@ __all__ = [
     # errors
     "TracecheckError", "PathError", "OpTypeError", "BagUnderflow",
     "UnknownOp", "ParseError", "SchemaError", "MissingClock", "GuardFailed",
-    "UnknownEvent", "SimDeadlock",
+    "SimDeadlock",
     # values
     "Value", "VStr", "VInt", "VBool", "VSeq", "VSet", "VBag", "VRec",
     "UpdateOp", "mk", "apply_update", "apply_entry_updates",

@@ -9,10 +9,10 @@ Subcommands:
 
 Exit codes: 0 success/accepted, 1 rejected, 2 inconclusive (search
 budget exhausted, nothing else), 3 usage or input error (a malformed,
-missing or unknown flag or subcommand among them), or standard output
-closed before all of it was written.  A rejection caused purely by an
-event name the spec does not know also exits 3, with a hint to supply
-a composition mapping.
+missing or unknown flag or subcommand among them), an output path that
+cannot be written, or standard output closed before all of it was
+written.  A rejection caused purely by an event name the spec does not
+know also exits 3, with a hint to supply a composition mapping.
 
 ``main(argv)`` may be called repeatedly in one process, which builds its
 parser once; it returns every exit code, a usage error's included.
@@ -215,9 +215,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    traces = [_read_trace(p) for p in args.files]
-    labels = [Path(p).stem for p in args.files]
-    merged = merge(traces, labels=labels)
+    merged = merge([_read_trace(p) for p in args.files])
     text = serialize_trace(merged)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -342,12 +340,6 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TracecheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BrokenPipeError:
         # Whatever reads stdout has gone.  Point stdout at devnull so
         # the interpreter's flush at exit cannot raise again.
@@ -356,6 +348,11 @@ def main(argv=None) -> int:
         os.close(devnull)
         print("error: standard output was closed before all of it was "
               "written", file=sys.stderr)
+        return EXIT_USAGE
+    except (UsageError, TracecheckError, OSError) as exc:
+        # An OSError here is an output path that cannot be written; its
+        # message names the path.
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -63,15 +63,5 @@ class GuardFailed(TracecheckError):
         return f"{self.action}: guard failed: {self.description}"
 
 
-class UnknownEvent(TracecheckError):
-    """A trace event names neither an action nor a composition entry."""
-
-    def __init__(self, event: str):
-        super().__init__(
-            f"event {event!r} names no action and no composed action"
-        )
-        self.event = event
-
-
 class SimDeadlock(TracecheckError):
     """A simulated run stopped making progress before completing."""

@@ -47,7 +47,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import GuardFailed, TracecheckError, UnknownEvent
+from .errors import GuardFailed, TracecheckError
 from .machine import ActionSchema, Spec, SpecState, step
 from .traces import Trace, TraceEntry, serialize_entry
 from .values import (Value, apply_entry_updates, render_event_arg,
@@ -212,9 +212,10 @@ class Attempt:
             return (f"stage {self.stage} ({self.stage_name}) cannot fire on "
                     "any intermediate state")
         if reason == "UnknownEvent":
-            return (f"{UnknownEvent(self.candidate)}; if the implementation "
-                    "fuses several actions into this event, map it in the "
-                    "composition config")
+            return (f"event {self.candidate!r} names no action and no "
+                    "composed action; if the implementation fuses several "
+                    "actions into this event, map it in the composition "
+                    "config")
         if self.event_args is None:
             return "no candidate action for this entry"
         return (f"no parameter valuation renders as "

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +28,15 @@ from ..traces import Trace, merge, read_trace_file, write_trace_file
 from .sim import SimNetwork, SimScheduler
 
 RECORD_LEVELS = ("vea", "v", "vpea", "ea", "e")
+
+
+def check_timing(name: str, bounds: tuple[float, float]) -> None:
+    """Refuse a delay or work range with a NaN, infinite or negative end
+    (a range with two infinite ends draws NaN).  Configs check this
+    before a run opens any trace file."""
+    if not all(0 <= x < math.inf for x in bounds):
+        raise ValueError(f"{name} must be finite and not negative, "
+                         f"got {bounds}")
 
 
 class Recorder:
@@ -109,8 +119,7 @@ def finalize_run(protocol: str, out_dir: Path, cfg, files: list[Path],
                  spec: Spec, composition: dict[str, tuple[str, ...]]
                  ) -> RunResult:
     """Merge the per-process traces and write the run manifest."""
-    traces = [read_trace_file(p) for p in files]
-    merged = merge(traces, labels=[p.stem for p in files])
+    merged = merge([read_trace_file(p) for p in files])
     merged_file = out_dir / "merged.ndjson"
     write_trace_file(merged_file, merged)
 

@@ -23,7 +23,7 @@ class SimScheduler:
         self.now = 0.0
 
     def at(self, delay: float, fn: Callable[[], None]) -> None:
-        if delay < 0:
+        if not delay >= 0:     # NaN fails too
             raise ValueError("delay must be >= 0")
         heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
         self._seq += 1
@@ -56,7 +56,7 @@ class SimNetwork:
     def __init__(self, sched: SimScheduler, rng: random.Random,
                  delay: tuple[float, float], loss: float = 0.0):
         lo, hi = delay
-        if lo < 0 or hi < lo:
+        if not 0 <= lo <= hi:  # NaN fails too
             raise ValueError("delay range must satisfy 0 <= lo <= hi")
         if not 0.0 <= loss < 1.0:
             raise ValueError("loss must be in [0, 1)")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from ..machine import ActionSchema, GuardClause, Spec, SpecState
 from ..values import VBool, VInt, VRec
-from .common import RECORD_LEVELS, Recorder, RunResult, SimRun
+from .common import RECORD_LEVELS, Recorder, RunResult, SimRun, check_timing
 
 COMPOSITION = {"DetectAndInit": ("DetectTermination", "InitiateProbe")}
 
@@ -128,6 +128,8 @@ class TokenRingConfig:
             raise ValueError(f"record must be one of {RECORD_LEVELS}")
         if self.bug not in (None, "self-message", "eternal-token"):
             raise ValueError(f"unknown bug {self.bug!r}")
+        check_timing("delay", self.delay)
+        check_timing("work", self.work)
 
 
 class _Node:

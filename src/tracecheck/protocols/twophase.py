@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from ..machine import ActionSchema, GuardClause, Spec, SpecState
 from ..values import VRec, VSet, VStr
-from .common import RECORD_LEVELS, Recorder, RunResult, SimRun
+from .common import RECORD_LEVELS, Recorder, RunResult, SimRun, check_timing
 
 RM_STATES = ("working", "prepared", "committed", "aborted")
 
@@ -179,6 +179,14 @@ class TwoPhaseConfig:
             raise ValueError(f"unknown bug {self.bug!r}")
         if self.resend_logging not in ("stutter", "silent"):
             raise ValueError("resend_logging must be 'stutter' or 'silent'")
+        check_timing("delay", self.delay)
+        check_timing("work", self.work)
+        # A zero period would resend at the same virtual time forever.
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if self.abort_after is not None and not self.abort_after >= 0:
+            raise ValueError("abort_after must not be NaN or negative, "
+                             f"got {self.abort_after}")
 
 
 def rm_names(n: int) -> tuple[str, ...]:

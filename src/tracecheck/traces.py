@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Any, Iterator, Sequence
 
 from .errors import ParseError, SchemaError, TracecheckError
@@ -21,41 +23,19 @@ from .values import (I64_MAX, OP_NAMES, TOO_DEEP, UpdateOp,
 RESERVED_KEYS = ("clock", "event", "event_args")
 
 
-@dataclass(eq=False)
+@dataclass
 class TraceEntry:
-    """One recorded step.  ``source``/``line`` are provenance for
-    diagnostics only and never take part in equality."""
+    """One recorded step: a clock, the variables' updates, and an
+    optional event with its arguments."""
 
     clock: int
     updates: dict[str, tuple[UpdateOp, ...]] = field(default_factory=dict)
     event: str | None = None
     event_args: tuple[str, ...] | None = None
-    source: str | None = None
-    line: int | None = None
-
-    def _key(self):
-        return (self.clock, dict(self.updates), self.event, self.event_args)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TraceEntry):
-            return NotImplemented
-        return self._key() == other._key()
 
 
-@dataclass
-class Trace:
-    """Ordered entries; 1-indexed in all reporting."""
-
-    entries: list[TraceEntry] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> TraceEntry:
-        return self.entries[i]
+# Ordered entries; 1-indexed in all reporting.
+Trace = list[TraceEntry]
 
 
 def _check_update(item: Any, key: str) -> None:
@@ -91,7 +71,7 @@ def _decode_update(item: dict, key: str) -> UpdateOp:
     return UpdateOp(item["op"], tuple(path), args)
 
 
-def _entry_from_obj(obj: Any, line: int, source: str | None) -> TraceEntry:
+def _entry_from_obj(obj: Any) -> TraceEntry:
     """Check ``obj`` against the schema (module docstring) and decode
     it in one pass; a variable's updates are all checked before any is
     decoded."""
@@ -125,11 +105,10 @@ def _entry_from_obj(obj: Any, line: int, source: str | None) -> TraceEntry:
             _check_update(item, key)
         updates[key] = tuple([_decode_update(item, key) for item in val])
     return TraceEntry(clock=clock, updates=updates, event=event,
-                      event_args=event_args, source=source, line=line)
+                      event_args=event_args)
 
 
-def decode_line(raw: str, lineno: int,
-                source: str | None = None) -> TraceEntry:
+def decode_line(raw: str, lineno: int) -> TraceEntry:
     """One NDJSON line as a TraceEntry.
 
     Raises ParseError for text ``values.parse_json`` refuses, and
@@ -137,14 +116,14 @@ def decode_line(raw: str, lineno: int,
     update it cannot decode; both carry ``lineno``.
     """
     try:
-        return _entry_from_obj(parse_json(raw), lineno, source)
+        return _entry_from_obj(parse_json(raw))
     except (ParseError, SchemaError) as exc:
         exc.line = lineno
         raise
 
 
-def read_lines(text: str, source: str | None = None
-               ) -> Iterator[tuple[int, TraceEntry | TracecheckError]]:
+def read_lines(
+        text: str) -> Iterator[tuple[int, TraceEntry | TracecheckError]]:
     """Each non-blank line's 1-based number with its entry, or with the
     error that refuses it.
 
@@ -159,7 +138,7 @@ def read_lines(text: str, source: str | None = None
         if not raw.strip():
             continue
         try:
-            entry = decode_line(raw, lineno, source)
+            entry = decode_line(raw, lineno)
         except (ParseError, SchemaError) as exc:
             yield lineno, exc
             continue
@@ -172,20 +151,20 @@ def read_lines(text: str, source: str | None = None
         prev = entry.clock
 
 
-def parse_ndjson(text: str, source: str | None = None) -> Trace:
+def parse_ndjson(text: str) -> Trace:
     """Parse NDJSON text into a Trace; the first refused line raises
     its error.  Blank lines are skipped."""
     entries = []
-    for _, got in read_lines(text, source):
+    for _, got in read_lines(text):
         if isinstance(got, TracecheckError):
             raise got
         entries.append(got)
-    return Trace(entries)
+    return entries
 
 
 def read_trace_file(path: str) -> Trace:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_ndjson(f.read(), source=str(path))
+        return parse_ndjson(f.read())
 
 
 def entry_to_jsonable(entry: TraceEntry,
@@ -217,34 +196,19 @@ def serialize_entry(entry: TraceEntry) -> str:
 
 
 def serialize_trace(trace: Trace) -> str:
-    return "".join(serialize_entry(e) + "\n" for e in trace.entries)
+    return "".join(serialize_entry(e) + "\n" for e in trace)
 
 
-def merge(traces: Sequence[Trace],
-          labels: Sequence[str] | None = None) -> Trace:
+def merge(traces: Sequence[Trace]) -> Trace:
     """Merge per-process traces into one, ordered by nondecreasing clock.
 
     Entries with equal clocks keep a fixed order: by position of their
     trace in ``traces``, then by position within that trace.  The merge
-    is pure reordering; every input entry appears exactly once.
+    is pure reordering: it returns the input entry objects themselves,
+    each exactly once.
     """
-    if labels is not None and len(labels) != len(traces):
-        raise ValueError("labels must match traces one to one")
-    keyed = []
-    for ti, trace in enumerate(traces):
-        label = labels[ti] if labels is not None else None
-        for li, entry in enumerate(trace.entries, start=1):
-            out = TraceEntry(
-                clock=entry.clock,
-                updates=entry.updates,
-                event=entry.event,
-                event_args=entry.event_args,
-                source=label if label is not None else entry.source,
-                line=entry.line if entry.line is not None else li,
-            )
-            keyed.append(((entry.clock, ti, li), out))
-    keyed.sort(key=lambda kv: kv[0])
-    return Trace([e for _, e in keyed])
+    # list.sort is stable, so equal clocks keep the concatenation order.
+    return sorted(chain.from_iterable(traces), key=attrgetter("clock"))
 
 
 def write_trace_file(path: str, trace: Trace) -> None:

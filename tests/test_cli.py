@@ -219,11 +219,22 @@ def test_usage_errors_exit_three(tmp_path, capsys):
          "--max-seconds", "-1"],
         ["validate", "--spec", "twophase:2", "--trace", str(abort),
          "--max-seconds", "nan"],
+        # Timings a run cannot use, refused before any trace file opens;
+        # a zero resend period would resend at one virtual time forever.
+        ["run", "twophase", "--timeout", "0", "--out", str(tmp_path / "t")],
+        ["run", "twophase", "--timeout", "nan", "--out", str(tmp_path / "t")],
+        ["run", "twophase", "--delay", "nan", "--out", str(tmp_path / "t")],
+        ["run", "twophase", "--work", "nan", "--out", str(tmp_path / "t")],
+        ["run", "twophase", "--abort-after", "nan",
+         "--out", str(tmp_path / "t")],
+        ["run", "twophase", "--work=-5,-1", "--out", str(tmp_path / "t")],
+        ["run", "twophase", "--work", "inf", "--out", str(tmp_path / "t")],
+        ["run", "tokenring", "--delay", "nan", "--out", str(tmp_path / "t")],
     ]
     for argv in cases:
         code, out, err = run_cli(argv, capsys)
         assert code == 3, argv
-        assert "error:" in err
+        assert err.count("error:") == 1, argv
 
 
 def test_effect_outside_its_frame_exits_three(tmp_path, capsys,
@@ -352,6 +363,40 @@ def test_merge_to_stdout_and_file(happy_run, tmp_path, capsys):
     assert code == 0
     assert target.exists()
     assert str(target) in out
+
+
+@pytest.mark.parametrize("protocol", ["twophase", "tokenring"])
+def test_merge_reproduces_a_runs_merged_file(protocol, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code, _, _ = run_cli(["run", protocol, "--seed", "2",
+                          "--out", str(out_dir)], capsys)
+    assert code == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    target = tmp_path / "again.ndjson"
+    code, _, _ = run_cli(
+        ["merge", *(str(out_dir / f) for f in manifest["files"]),
+         "-o", str(target)], capsys)
+    assert code == 0
+    assert target.read_bytes() == (out_dir / "merged.ndjson").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "merge", "validate"])
+def test_unwritable_output_path_exits_three(command, happy_run, tmp_path,
+                                            capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = str(blocker / "out")
+    argv = {
+        "run": ["run", "twophase", "--out", target],
+        "merge": ["merge", str(happy_run / "tm.ndjson"), "-o", target],
+        "validate": ["validate", "--spec", "twophase:2", "--allow-stutter",
+                     "--trace", str(happy_run / "merged.ndjson"),
+                     "--dot", target],
+    }[command]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert target in err
 
 
 def test_schema_check_clean_and_dirty(happy_run, tmp_path, capsys):

@@ -11,6 +11,8 @@ from tracecheck import (
     ExplorerConfig,
     SimDeadlock,
     Trace,
+    read_trace_file,
+    serialize_entry,
     validate,
 )
 from tracecheck.cli import build_parser, main
@@ -44,6 +46,8 @@ def test_scheduler_breaks_ties_by_insertion_order():
 def test_scheduler_rejects_negative_delay():
     with pytest.raises(ValueError):
         SimScheduler().at(-1.0, lambda: None)
+    with pytest.raises(ValueError):
+        SimScheduler().at(float("nan"), lambda: None)
 
 
 def test_scheduler_raises_on_drained_queue():
@@ -67,6 +71,9 @@ def test_network_validates_parameters():
         SimNetwork(sched, rng, (2.0, 1.0))
     with pytest.raises(ValueError):
         SimNetwork(sched, rng, (-1.0, 1.0))
+    for nan_end in [(float("nan"), 1.0), (1.0, float("nan"))]:
+        with pytest.raises(ValueError):
+            SimNetwork(sched, rng, nan_end)
     with pytest.raises(ValueError):
         SimNetwork(sched, rng, (1.0, 2.0), loss=1.0)
     net = SimNetwork(sched, rng, (1.0, 2.0))
@@ -106,6 +113,32 @@ def test_twophase_config_validation():
         TwoPhaseConfig(bug="typo")
     with pytest.raises(ValueError):
         TwoPhaseConfig(resend_logging="loud")
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+# Each is refused before a run opens any trace file.  A zero resend
+# period would reschedule the resend at one virtual time forever.
+@pytest.mark.parametrize("field, value", [
+    ("delay", (NAN, 2.0)), ("delay", (1.0, NAN)), ("delay", (-1.0, 2.0)),
+    ("work", (NAN, NAN)), ("work", (-5.0, -1.0)), ("work", (1.0, INF)),
+    ("timeout", 0.0), ("timeout", -1.0), ("timeout", NAN),
+    ("abort_after", NAN), ("abort_after", -1.0),
+])
+def test_twophase_config_refuses_bad_timings(field, value):
+    with pytest.raises(ValueError, match=field):
+        TwoPhaseConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("delay", (NAN, 2.0)), ("delay", (-1.0, 2.0)),
+    ("work", (1.0, NAN)), ("work", (-5.0, -1.0)), ("work", (INF, INF)),
+])
+def test_tokenring_config_refuses_bad_timings(field, value):
+    with pytest.raises(ValueError, match=field):
+        TokenRingConfig(**{field: value})
 
 
 def test_tokenring_config_validation():
@@ -238,27 +271,28 @@ def test_twophase_counter_bug_harmless_without_duplicates(tmp_path):
 def test_twophase_record_levels_shape_entries(tmp_path):
     def run_at(level):
         cfg = TwoPhaseConfig(rms=rm_names(2), seed=4, record=level)
-        return run_twophase(cfg, tmp_path / level).trace
+        return run_twophase(cfg, tmp_path / level)
 
-    v = run_at("v")
+    v = run_at("v").trace
     assert all(e.event is None for e in v)
     assert any(e.updates for e in v)
 
-    ea = run_at("ea")
+    ea = run_at("ea").trace
     assert all(not e.updates for e in ea)
     assert any(e.event is not None for e in ea)
     assert any(e.event_args for e in ea)
 
-    e_only = run_at("e")
+    e_only = run_at("e").trace
     assert all(not e.updates and e.event_args is None for e in e_only)
     assert any(e.event is not None for e in e_only)
 
-    vpea = run_at("vpea")
-    tm_events = [e.event for e in vpea if e.source == "tm"]
-    other_events = [e.event for e in vpea if e.source != "tm"]
-    assert any(ev is not None for ev in tm_events)
-    assert all(ev is None for ev in other_events)
-    assert any(e.updates for e in vpea if e.source != "tm")
+    # Only the coordinator's file carries events at vpea.
+    files = run_at("vpea").trace_files
+    assert files[0].stem == "tm"
+    tm, *others = [read_trace_file(p) for p in files]
+    assert any(e.event is not None for e in tm)
+    assert all(e.event is None for rm in others for e in rm)
+    assert any(e.updates for rm in others for e in rm)
 
 
 def test_twophase_eventless_levels_still_validate(tmp_path):
@@ -286,8 +320,11 @@ def test_twophase_manifest_contents(tmp_path):
 def test_twophase_merged_sources_name_processes(tmp_path):
     res = run_twophase(TwoPhaseConfig(rms=rm_names(2), seed=8),
                        tmp_path / "run")
-    sources = {e.source for e in res.trace}
-    assert sources == {"tm", "rm-0", "rm-1"}
+    assert [p.stem for p in res.trace_files] == ["tm", "rm-0", "rm-1"]
+    # The merged trace is the clock-sorted union of the process files.
+    union = [e for p in res.trace_files for e in read_trace_file(p)]
+    assert sorted(map(serialize_entry, res.trace)) == \
+        sorted(map(serialize_entry, union))
     clocks = [e.clock for e in res.trace]
     assert clocks == sorted(clocks)
 

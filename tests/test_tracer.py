@@ -244,10 +244,15 @@ def test_multiple_tracers_one_clock_merge_cleanly(tmp_path):
         t.close()
     from tracecheck import merge
     traces = [read_trace_file(p) for p in paths]
-    merged = merge(traces, labels=["n0", "n1", "n2"])
+    merged = merge(traces)
     clocks = [e.clock for e in merged]
     assert clocks == sorted(clocks)
     assert len(set(clocks)) == 15
+    # each tracer's entries are the merge's own objects, in file order
+    for trace in traces:
+        ids = {id(e) for e in trace}
+        assert [id(e) for e in merged if id(e) in ids] == \
+            [id(e) for e in trace]
 
 
 @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])

@@ -89,15 +89,15 @@ def test_parse_reports_one_based_line_numbers():
 
 
 def test_parse_skips_blank_lines():
-    t = parse_ndjson('\n{"clock": 1}\n\n{"clock": 2}\n')
-    assert len(t) == 2
-    assert t[0].line == 2 and t[1].line == 4
+    text = '\n{"clock": 1}\n\n{"clock": 2}\n'
+    assert len(parse_ndjson(text)) == 2
+    assert [(n, e.clock) for n, e in read_lines(text)] == [(2, 1), (4, 2)]
 
 
 def test_lines_end_at_newline_only():
-    t = parse_ndjson('{"clock":1,"event":"a\u2028b\x85"}\r\n'
+    got = read_lines('{"clock":1,"event":"a\u2028b\x85"}\r\n'
                      '{"clock":2,"event":"\u2029"}\r\n')
-    assert [(e.line, e.event) for e in t] == [(1, "a\u2028b\x85"),
+    assert [(n, e.event) for n, e in got] == [(1, "a\u2028b\x85"),
                                               (2, "\u2029")]
     # A form feed no longer splits a line, so two entries on one line
     # are malformed JSON.
@@ -200,7 +200,6 @@ def test_file_roundtrip(tmp_path):
     write_trace_file(path, trace)
     back = read_trace_file(path)
     assert list(back) == list(trace)
-    assert back[0].source == str(path)
 
 
 # --- merge --------------------------------------------------------------
@@ -214,16 +213,24 @@ def _clocked(rng, n, lo=0, step=3):
     return Trace(entries)
 
 
+def _assert_keeps_order(merged, src):
+    """``src``'s entries appear in ``merged`` as the same objects, in
+    their original order."""
+    ids = {id(e) for e in src}
+    assert [id(e) for e in merged if id(e) in ids] == [id(e) for e in src]
+
+
 def test_merge_provenance_and_determinism():
     rng = random.Random(11)
     a = _clocked(rng, 5)
     b = _clocked(rng, 5)
-    m1 = merge([a, b], labels=["procA", "procB"])
-    m2 = merge([a, b], labels=["procA", "procB"])
-    assert [e.source for e in m1].count("procA") == 5
+    m1 = merge([a, b])
+    m2 = merge([a, b])
+    # the merge returns the input entries themselves, not copies
+    _assert_keeps_order(m1, a)
+    _assert_keeps_order(m1, b)
+    assert [id(e) for e in m1] == [id(e) for e in m2]
     assert serialize_trace(m1) == serialize_trace(m2)
-    # provenance does not affect entry equality
-    assert m1[0] in list(a) + list(b)
 
 
 def test_merge_five_hundred_random_pairs():
@@ -231,7 +238,7 @@ def test_merge_five_hundred_random_pairs():
     for round_no in range(500):
         a = _clocked(rng, rng.randint(0, 6))
         b = _clocked(rng, rng.randint(0, 6))
-        m = merge([a, b], labels=["0", "1"])
+        m = merge([a, b])
         # every input entry appears exactly once (multiset equality)
         assert sorted(serialize_entry(e) for e in m) == \
             sorted(serialize_entry(e) for e in list(a) + list(b))
@@ -240,20 +247,20 @@ def test_merge_five_hundred_random_pairs():
         assert clocks == sorted(clocks)
         # ties: first trace's entries come first, and within one trace
         # the original order is preserved
-        for i in range(len(m) - 1):
-            x, y = m[i], m[i + 1]
-            if x.clock == y.clock and x.source == y.source:
-                assert x.line <= y.line
-        pos_a = [i for i, e in enumerate(m) if e.source == "0"]
-        assert pos_a == sorted(pos_a)
+        in_b = {id(e) for e in b}
+        for x, y in zip(m, m[1:]):
+            if x.clock == y.clock:
+                assert not (id(x) in in_b and id(y) not in in_b)
+        _assert_keeps_order(m, a)
+        _assert_keeps_order(m, b)
 
 
 def test_merge_tie_break_prefers_earlier_trace():
     a = Trace([TraceEntry(clock=5, event="A")])
     b = Trace([TraceEntry(clock=5, event="B")])
-    m = merge([a, b], labels=["left", "right"])
+    m = merge([a, b])
     assert [e.event for e in m] == ["A", "B"]
-    assert [e.source for e in m] == ["left", "right"]
+    assert m[0] is a[0] and m[1] is b[0]
 
 
 def test_nesting_too_deep_for_the_stack_is_a_parse_error():
