@@ -31,6 +31,16 @@ composition map is checked, the candidate steps of each kind of entry
 are listed with their frames, and each action's valuations are listed
 and rendered to event-arg strings, so a node only looks them up.
 
+A state reached at several lines is matched once per entry shape.  An
+entry's shape is its event, event args and updates; ``validate``
+numbers the shapes of its trace before it searches.  Matching reads
+only the state, the shape and the validation's fixed work, never the
+entry's clock or the node's line, so the matches of (fingerprint,
+shape) are the same at every line, and ``validate`` keeps them in a
+memo that lives for the one call.  Each successor state is interned
+by fingerprint: every node and memo entry holding an equal state holds
+the same ``SpecState``, so the memo adds references, not states.
+
 The search needs only each node's matches.  It skips every step whose
 frame leaves out a recorded variable the entry changes (such a step
 keeps that variable, so it cannot match), and it builds no ``Attempt``:
@@ -225,7 +235,8 @@ class Attempt:
         return f"{step_label(self.candidate, self.values)}: {self.detail}"
 
 
-@dataclass(frozen=True)
+# Slotted: a validation's memo keeps a Match for every step it found.
+@dataclass(frozen=True, slots=True)
 class Match:
     """One successful way to consume an entry: the state it leads to
     and the step that got there.  A witness is a list of Matches whose
@@ -472,6 +483,19 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
     return matches, attempts
 
 
+def _interned_matches(matches: list[Match],
+                      interned: dict[tuple, SpecState]) -> tuple[Match, ...]:
+    """The matches, each state replaced by the one ``interned`` already
+    keeps for its fingerprint (or kept there as the first)."""
+    out = []
+    for m in matches:
+        kept = interned.setdefault(m.state.fingerprint(), m.state)
+        if kept is not m.state:
+            m = Match(kept, m.name, m.values, m.stage_values)
+        out.append(m)
+    return tuple(out)
+
+
 def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
              ) -> Verdict:
     """Search for a spec behavior matching the whole trace.
@@ -488,6 +512,18 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
     compiled = _Compiled(spec, cfg)
     t0 = time.monotonic()
     length = len(trace)
+
+    # Entry line -> shape id: entries with equal event, event args and
+    # updates share an id.
+    shape_ids: dict[tuple, int] = {}
+    shapes = [shape_ids.setdefault(
+                  (e.event, e.event_args, tuple(e.updates.items())),
+                  len(shape_ids))
+              for e in trace]
+    # (state fingerprint, shape id) -> the pruned matches; fingerprint
+    # -> the one state kept.
+    memo: dict[tuple[tuple, int], tuple[Match, ...]] = {}
+    interned: dict[tuple, SpecState] = {}
 
     states: list[SpecState] = []         # node id -> state
     lines: list[int] = []                # node id -> line (1-based)
@@ -506,9 +542,10 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
 
     frontier: list[int] = []
     for s in spec.init:
-        key = (s.fingerprint(), 1)
+        fp = s.fingerprint()
+        key = (fp, 1)
         if key not in ids:
-            frontier.append(add(key, s, 1, None))
+            frontier.append(add(key, interned.setdefault(fp, s), 1, None))
 
     bfs = cfg.search == "bfs"
     cursor = 0                           # BFS reads frontier as a queue
@@ -533,8 +570,12 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
         if line == length + 1:
             goal = nid
             break
-        matches, _ = match_entry(spec, state, trace[line - 1], cfg,
-                                 compiled, prune=True)
+        memo_key = (state.fingerprint(), shapes[line - 1])
+        matches = memo.get(memo_key)
+        if matches is None:
+            matches = memo[memo_key] = _interned_matches(
+                match_entry(spec, state, trace[line - 1], cfg, compiled,
+                            prune=True)[0], interned)
         if not matches:
             dead.append(nid)
             continue

@@ -15,6 +15,12 @@ from ..errors import SimDeadlock
 
 Handler = Callable[[str, tuple], None]
 
+# Events one run may schedule.  The largest bundled-protocol run the
+# tests and benchmark corpora make schedules under 6 000, so a run that
+# reaches this bound is one that would never finish, such as a resend
+# period far below the message delay.
+MAX_EVENTS = 100_000
+
 
 class SimScheduler:
     def __init__(self):
@@ -25,6 +31,9 @@ class SimScheduler:
     def at(self, delay: float, fn: Callable[[], None]) -> None:
         if not delay >= 0:     # NaN fails too
             raise ValueError("delay must be >= 0")
+        if self._seq >= MAX_EVENTS:
+            raise SimDeadlock(
+                f"event bound {MAX_EVENTS} exceeded before completion")
         heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
         self._seq += 1
 
@@ -32,7 +41,8 @@ class SimScheduler:
         """Drain events until ``done()`` or the queue empties.
 
         Raises SimDeadlock if the queue empties (or virtual time passes
-        ``until``) with ``done()`` still false.
+        ``until``) with ``done()`` still false, and from ``at`` once
+        MAX_EVENTS events have been scheduled.
         """
         while self._heap:
             if done():

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -267,6 +268,22 @@ def test_deadlocked_run_exits_three_with_one_error_line(tmp_path, capsys):
                    "completion\n")
 
 
+def test_runaway_run_exits_three_at_the_event_bound(tmp_path):
+    # A resend period far below the message delay resends forever
+    # without ever passing the virtual time bound.  In a process of its
+    # own, so a hang fails the test at its timeout, and with unclosed
+    # files turned into warnings, which would add to stderr.
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-m", "tracecheck.cli", "run", "twophase", "--timeout", "1e-6",
+         "--out", str(tmp_path / "r")],
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == ("error: event bound 100000 exceeded before "
+                             "completion\n")
+
+
 def test_refused_command_line_keeps_argparse_message(capsys):
     code, out, err = run_cli(["validate", "--trace", "x.ndjson"], capsys)
     assert code == 3
@@ -378,6 +395,97 @@ def test_merge_reproduces_a_runs_merged_file(protocol, tmp_path, capsys):
          "-o", str(target)], capsys)
     assert code == 0
     assert target.read_bytes() == (out_dir / "merged.ndjson").read_bytes()
+
+
+# Seeded runs whose validation must not change by a byte: (run argv,
+# extra validate argv, exit code).  "{run}" is the run's directory.
+_GOLDEN_CASES = {
+    "twophase-e-counter": (
+        ["twophase", "--rms", "4", "--seed", "5", "--record", "e",
+         "--bug", "counter", "--force-resend", "--resend-logging", "silent"],
+        ["--spec", "twophase:4"], 1),
+    "tokenring-ea-self-message": (
+        ["tokenring", "--n", "4", "--seed", "6", "--record", "ea",
+         "--bug", "self-message"],
+        ["--spec", "tokenring:4", "--compose", "{run}/manifest.json"], 1),
+    "twophase-v-stutter": (
+        ["twophase", "--rms", "3", "--seed", "7", "--record", "v",
+         "--timeout", "0.5"],
+        ["--spec", "twophase:3", "--allow-stutter"], 0),
+}
+
+# sha256 of (plain stdout, --json stdout, --dot stdout, DOT file).
+_GOLDEN_DIGESTS = {
+    ("twophase-e-counter", "bfs"): (
+        "888e3e36aa342d6027eb747f87b6fc77eb26460f2b1d58d3e8f665135faa0ec9",
+        "fe5a1797f89a7bf891463cf53526bb7facf5832a8ecc187e4238ce1f6e8ccdd0",
+        "888e3e36aa342d6027eb747f87b6fc77eb26460f2b1d58d3e8f665135faa0ec9",
+        "8980c754dbf3ef9d4f1dbe36fa7acc41076b16525a8de8e40a5a985ba47d375a",
+    ),
+    ("twophase-e-counter", "dfs"): (
+        "02fb4dd000524cac904d0e74f4d8a836695fc2f30c55bfd57bc6b354d8320537",
+        "5f83b941b1c783113489465ce5b1d0723b28806ced3372d4da06a4aade76b204",
+        "02fb4dd000524cac904d0e74f4d8a836695fc2f30c55bfd57bc6b354d8320537",
+        "e99c5da6a7b8e8c90907d2cbd3aa8538d7fa78ea6643164e4f65643ec389d473",
+    ),
+    ("tokenring-ea-self-message", "bfs"): (
+        "c5d7d24691bc84a2a3a0c863a96fcf2ec431faee9f63de8b90727c6783779908",
+        "4fa698d61af17fadbfd791d042f25d532f188dfbaf9eba29baa8c8e9db87292b",
+        "c5d7d24691bc84a2a3a0c863a96fcf2ec431faee9f63de8b90727c6783779908",
+        "61d0e504080c0e6d3dc1150678a0e4fee1e5262107128e00eba55a008da11ab6",
+    ),
+    ("tokenring-ea-self-message", "dfs"): (
+        "9dfbfbfc45697d7f89de96841aa1c7151952d35935410b84c150ddd3418fce86",
+        "b5ae5cc2885d465766ca61719698797d2f00a2aed431f64bb061e856e48e43c2",
+        "9dfbfbfc45697d7f89de96841aa1c7151952d35935410b84c150ddd3418fce86",
+        "61d0e504080c0e6d3dc1150678a0e4fee1e5262107128e00eba55a008da11ab6",
+    ),
+    ("twophase-v-stutter", "bfs"): (
+        "2c2fc5e3fd646e20e0caa98f5f6497da35ea4ccc6234201fad2d7c7b07db6865",
+        "a5dff92525971ff2edd3ea540f8dd8b204ec0f322e3591efc8e077ebdb5433f0",
+        "2c2fc5e3fd646e20e0caa98f5f6497da35ea4ccc6234201fad2d7c7b07db6865",
+        "dcb4bb1d5ae46e83a13a9e5dde1f9c5130e6e3de6211c917b3998b6724237bfa",
+    ),
+    ("twophase-v-stutter", "dfs"): (
+        "cf8b580c67a870874da06bd04ed2d6238335cd6b5f7b10e46e35b2ee983cd783",
+        "aa1312ca5dd755de77be538860695123e0b7865048e76ab8f2737e8f2d5af446",
+        "cf8b580c67a870874da06bd04ed2d6238335cd6b5f7b10e46e35b2ee983cd783",
+        "62bc391c519b1ba7616f9a537af858d2bf7146692073e075bb56d26ddde71953",
+    ),
+}
+
+
+def _validation_digests(tmp_path, case, search, capsys):
+    """Exit code, and the sha256 of each of validate's outputs."""
+    run_argv, validate_argv, _ = _GOLDEN_CASES[case]
+    run_dir = tmp_path / "run"
+    code, _, _ = run_cli(["run", *run_argv, "--work", "1,1",
+                          "--out", str(run_dir)], capsys)
+    assert code == 0
+    base = ["validate", "--trace", str(run_dir / "merged.ndjson"),
+            "--search", search,
+            *(a.replace("{run}", str(run_dir)) for a in validate_argv)]
+    dot = tmp_path / "graph.dot"
+    codes, digests = set(), []
+    for extra in ([], ["--json"], ["--dot", str(dot)]):
+        code, out, err = run_cli(base + extra, capsys)
+        assert err == ""
+        codes.add(code)
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    digests.append(hashlib.sha256(dot.read_bytes()).hexdigest())
+    (code,) = codes
+    return code, tuple(digests)
+
+
+@pytest.mark.parametrize("search", ["bfs", "dfs"])
+@pytest.mark.parametrize("case", list(_GOLDEN_CASES))
+def test_validation_output_is_byte_for_byte_pinned(case, search, tmp_path,
+                                                   capsys):
+    """A change to the search may make it faster, not change what it
+    prints or the graph it writes."""
+    code, digests = _validation_digests(tmp_path, case, search, capsys)
+    assert code == _GOLDEN_CASES[case][2]
+    assert digests == _GOLDEN_DIGESTS[case, search]
 
 
 @pytest.mark.parametrize("command", ["run", "merge", "validate"])

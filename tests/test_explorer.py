@@ -3,12 +3,17 @@
 import ast
 import dataclasses
 import importlib
+import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from oracle import oracle_validate
 
+import tracecheck
 from tracecheck import (
     ActionSchema,
     ExplorerConfig,
@@ -732,3 +737,66 @@ def test_validate_agrees_with_oracle_on_seeded_protocol_runs(tmp_path,
                                dataclasses.replace(cfg, search=search))
                 assert got.accepted == want, (res.out_dir, search)
     assert verdicts == {True, False}
+
+
+# --- the per-validation match memo -------------------------------------
+
+
+def test_every_node_state_is_one_shared_object(tmp_path):
+    # At level e a state recurs at many lines; each distinct state must
+    # be kept once, however many nodes and memo entries refer to it.
+    res = run_twophase(TwoPhaseConfig(rms=rm_names(6), seed=1, record="e",
+                                      work=(1.0, 1.0)), tmp_path / "run")
+    verdict = validate(res.spec, res.trace)
+    assert verdict.accepted
+    fingerprints = {s.fingerprint() for s in verdict.states}
+    assert len(fingerprints) < len(verdict.states)
+    assert len({id(s) for s in verdict.states}) == len(fingerprints)
+
+
+# Prints one validation's verdict and graph, in a process of its own.
+_FRESH_VALIDATION = """
+import json, sys
+from tracecheck import ExplorerConfig, explored_dot, read_trace_file, validate
+from tracecheck.protocols import (build_tokenring_spec, build_twophase_spec,
+                                  rm_names)
+protocol, size, path, cfg = sys.argv[1:]
+spec = (build_twophase_spec(rm_names(int(size))) if protocol == "twophase"
+        else build_tokenring_spec(int(size)))
+trace = read_trace_file(path)
+verdict = validate(spec, trace, ExplorerConfig(**json.loads(cfg)))
+print(json.dumps(verdict.to_jsonable(), sort_keys=True))
+print(explored_dot(verdict, trace), end="")
+"""
+
+
+def test_back_to_back_validations_match_fresh_processes(tmp_path):
+    """Nothing one validation works out carries over to the next: the
+    same trace validated again with stutter allowed, or without the
+    composition map, gives what a process of its own gives."""
+    stutters = run_twophase(
+        TwoPhaseConfig(rms=rm_names(3), seed=7, record="v",
+                       work=(1.0, 1.0), timeout=0.5), tmp_path / "tp")
+    ring = run_tokenring(TokenRingConfig(n=4, seed=0, record="v"),
+                         tmp_path / "ring")
+    calls = [
+        (stutters, ("twophase", 3), {}),
+        (stutters, ("twophase", 3), {"allow_stutter": True}),
+        (ring, ("tokenring", 4), {"composition": ring.composition}),
+        (ring, ("tokenring", 4), {}),
+    ]
+    statuses = []
+    for res, (protocol, size), cfg in calls:
+        verdict = validate(res.spec, res.trace, ExplorerConfig(**cfg))
+        statuses.append(verdict.status())
+        here = (json.dumps(verdict.to_jsonable(), sort_keys=True) + "\n"
+                + explored_dot(verdict, res.trace))
+        alone = subprocess.run(
+            [sys.executable, "-c", _FRESH_VALIDATION, protocol, str(size),
+             str(res.merged_file), json.dumps(cfg)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+                str(Path(tracecheck.__file__).parents[1]),
+                os.environ.get("PYTHONPATH")]))})
+        assert here == alone.stdout, (protocol, cfg)
+    assert statuses == ["rejected", "accepted", "accepted", "rejected"]

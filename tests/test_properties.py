@@ -6,7 +6,8 @@ with the linear definitions and full rebuilds they replace, and the
 The trace reader must read back whatever the Tracer writes, and turn
 any other text into an entry or a TracecheckError; the CLI must exit
 0-3 on it.  Matching pruned by frames must give the same matches as
-matching every step.  Only this module needs hypothesis.
+matching every step, and the matches ``validate`` reuses from its memo
+the same as matching afresh.  Only this module needs hypothesis.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from tracecheck import (ExplorerConfig, SpecState, Trace, TracecheckError,
                         Tracer, VBag, VBool, VInt, VRec, VSeq, VSet, VStr,
-                        match_entry, read_trace_file)
+                        match_entry, read_trace_file, validate)
 from tracecheck.cli import main
 from tracecheck.explorer import _Compiled
 from tracecheck.protocols import (TokenRingConfig, TwoPhaseConfig,
@@ -282,3 +283,37 @@ def test_pruned_matching_gives_the_same_matches(seeded_runs, data):
                 seen.add(node)
                 frontier.append(node)
     assert dead[True] == dead[False]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_memoised_matches_are_fresh_matches(seeded_runs, data):
+    """``validate`` matches each (state, entry shape) once and reuses
+    the result; at every node it expanded, its edges must be what a
+    fresh pruned match of that node gives, in order."""
+    spec, trace, composition = data.draw(st.sampled_from(seeded_runs))
+    entries = list(trace)
+    drop = data.draw(st.none() | st.integers(0, len(entries) - 1))
+    if drop is not None:
+        del entries[drop]
+    cfg = ExplorerConfig(
+        search=data.draw(st.sampled_from(("bfs", "dfs"))),
+        allow_stutter=data.draw(st.booleans()),
+        composition=composition if data.draw(st.booleans()) else {})
+    verdict = validate(spec, entries, cfg)
+    edges: dict[int, list] = {}
+    for src, name, vals, dst in verdict.edges:
+        edges.setdefault(src, []).append(
+            (verdict.states[dst].fingerprint(), name, vals))
+    compiled = _Compiled(spec, cfg)
+    for src, (state, line) in enumerate(zip(verdict.states, verdict.lines)):
+        # Without a goal the search expands every node before the end;
+        # with one, only the nodes it left by an edge are sure to be.
+        if line > len(entries) or (verdict.accepted and src not in edges):
+            continue
+        matches, _ = match_entry(spec, state, entries[line - 1], cfg,
+                                 compiled, prune=True)
+        fresh = [key[:3] for key in _match_keys(matches)]
+        if line == len(entries):
+            fresh = fresh[:1]          # the first match there is the goal
+        assert edges.get(src, []) == fresh
