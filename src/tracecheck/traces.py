@@ -3,7 +3,8 @@
 One trace entry per line.  Reserved keys are ``clock`` (required,
 integer in 0..2^63-1), ``event`` (string) and ``event_args`` (array of
 strings); every other key names a variable and maps to a non-empty
-array of update objects ``{"op": str, "path": [...], "args": [...]}``.
+array of update objects ``{"op": str, "path": [...], "args": [...]}``
+with no other keys.
 Keys that merely resemble reserved ones ("Event", "Clock") are
 variable names.
 """
@@ -11,6 +12,7 @@ variable names.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
@@ -23,7 +25,7 @@ from .values import (I64_MAX, OP_NAMES, TOO_DEEP, UpdateOp,
 RESERVED_KEYS = ("clock", "event", "event_args")
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEntry:
     """One recorded step: a clock, the variables' updates, and an
     optional event with its arguments."""
@@ -44,6 +46,10 @@ def _check_update(item: Any, key: str) -> None:
     for req in ("op", "path", "args"):
         if req not in item:
             raise SchemaError(f"update for {key!r} lacks {req!r}", field=key)
+    if len(item) > 3:
+        extra = next(k for k in item if k not in ("op", "path", "args"))
+        raise SchemaError(f"update for {key!r} has unknown key {extra!r}",
+                          field=key)
     if not isinstance(item["op"], str):
         raise SchemaError(f"update op for {key!r} must be a string",
                           field=key)
@@ -122,6 +128,12 @@ def decode_line(raw: str, lineno: int) -> TraceEntry:
         raise
 
 
+# A line's leading clock, exactly as ``serialize_entry`` writes it:
+# ASCII digits (``\d`` would take other scripts' digits), no leading
+# zero, at most 19 digits, then the next key or the object's end.
+_CLOCK_FIRST = re.compile(r'\{"clock":(0|[1-9][0-9]{0,18})(?=[,}])')
+
+
 def read_lines(
         text: str) -> Iterator[tuple[int, TraceEntry | TracecheckError]]:
     """Each non-blank line's 1-based number with its entry, or with the
@@ -132,16 +144,38 @@ def read_lines(
     whose clock is lower than the previous entry's is refused with a
     SchemaError on ``clock``: clocks are per-process counters and a
     merged trace is in clock order, so a file never goes backwards.
+
+    Lines that differ only in their clock are decoded once.  A line
+    that starts as ``_CLOCK_FIRST`` matches is keyed by the text after
+    its clock.  Once a line with that text has decoded, a later one
+    becomes a new entry with its own clock that shares the first one's
+    ``updates``, ``event`` and ``event_args``.  This is sound because
+    that text fixes every field but the clock, and the pattern admits
+    only a clock that ``parse_json`` reads as an integer and that
+    passes the clock checks (``int(...) <= I64_MAX`` is the last one).
+    Every other line, and the first line with each text, goes through
+    ``decode_line``; a refused line is never kept.  The table lives
+    for one call.
     """
     prev = 0
+    seen: dict[str, TraceEntry] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             continue
-        try:
-            entry = decode_line(raw, lineno)
-        except (ParseError, SchemaError) as exc:
-            yield lineno, exc
-            continue
+        m = _CLOCK_FIRST.match(raw)
+        rest = raw[m.end():] if m else None
+        first = seen.get(rest)
+        if first is not None and (clock := int(m[1])) <= I64_MAX:
+            entry = TraceEntry(clock, first.updates, first.event,
+                               first.event_args)
+        else:
+            try:
+                entry = decode_line(raw, lineno)
+            except (ParseError, SchemaError) as exc:
+                yield lineno, exc
+                continue
+            if rest is not None:
+                seen[rest] = entry
         if entry.clock < prev:
             yield lineno, SchemaError(
                 f"'clock' {entry.clock} is lower than the previous "

@@ -1,4 +1,4 @@
-"""Shared generators for the property-style suites.
+"""Shared generators and checks for the property-style suites.
 
 Everything is driven by seeded random.Random instances so failures
 reproduce exactly.
@@ -8,8 +8,12 @@ from __future__ import annotations
 
 import random
 
-from tracecheck import (TraceEntry, UpdateOp, VBag, VBool, VInt, VRec, VSeq,
-                        VSet, VStr, mk)
+import pytest
+
+from tracecheck import (SchemaError, TraceEntry, TracecheckError, UpdateOp,
+                        VBag, VBool, VInt, VRec, VSeq, VSet, VStr, mk,
+                        parse_ndjson)
+from tracecheck.traces import decode_line, read_lines
 
 I64_MIN = -(2 ** 63)
 I64_MAX = 2 ** 63 - 1
@@ -92,3 +96,39 @@ def gen_entry(rng: random.Random, clock: int) -> TraceEntry:
 def mkv(obj):
     """Shorthand for building Values from plain Python data."""
     return mk(obj)
+
+
+def _error(exc: TracecheckError) -> tuple:
+    return type(exc), str(exc), exc.line
+
+
+def assert_reads_line_by_line(text: str) -> None:
+    """``read_lines`` and ``parse_ndjson`` give for ``text`` what
+    decoding every line afresh with ``decode_line`` gives: equal
+    entries, and the same error class, message and line."""
+    want, prev = [], 0
+    for n, raw in enumerate(text.split("\n"), start=1):
+        if not raw.strip():
+            continue
+        try:
+            entry = decode_line(raw, n)
+        except TracecheckError as exc:
+            want.append((n, _error(exc)))
+            continue
+        if entry.clock < prev:
+            want.append((n, (SchemaError,
+                             f"'clock' {entry.clock} is lower than the "
+                             f"previous entry's {prev}", n)))
+        else:
+            want.append((n, entry))
+        prev = entry.clock
+    got = [(n, _error(x) if isinstance(x, TracecheckError) else x)
+           for n, x in read_lines(text)]
+    assert got == want
+    refused = next((x for _, x in want if isinstance(x, tuple)), None)
+    if refused is None:
+        assert parse_ndjson(text) == [x for _, x in want]
+    else:
+        with pytest.raises(refused[0]) as err:
+            parse_ndjson(text)
+        assert _error(err.value) == refused

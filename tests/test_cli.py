@@ -553,6 +553,19 @@ def test_schema_check_lists_entries_validate_rejects(tmp_path, capsys):
     assert "line 1: bad arg for 'x'" in err
 
 
+def test_schema_check_lists_a_repeated_refused_line_at_every_line(
+        tmp_path, capsys):
+    line = '{"clock":%d,"x":[{"op":"Update","path":[],"args":[1],"extra":2}]}'
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text(line % 1 + "\n" + '{"clock":2}\n'
+                   + "".join(line % n + "\n" for n in (3, 3, 4)))
+    code, out, _ = run_cli(["schema-check", str(bad)], capsys)
+    assert code == 1
+    assert out == "".join(f"line {n}: update for 'x' has unknown key "
+                          "'extra'\n" for n in (1, 3, 4, 5)) \
+        + "4 of 5 entries do not fit the format\n"
+
+
 def test_validate_input_errors_name_the_line(tmp_path, capsys):
     trace = tmp_path / "t.ndjson"
     trace.write_text('{"clock":0,"event":"TMAbort"}\n'

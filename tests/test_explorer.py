@@ -27,6 +27,7 @@ from tracecheck import (
     explain,
     explored_dot,
     match_entry,
+    read_trace_file,
     step,
     validate,
 )
@@ -800,3 +801,24 @@ def test_back_to_back_validations_match_fresh_processes(tmp_path):
                 os.environ.get("PYTHONPATH")]))})
         assert here == alone.stdout, (protocol, cfg)
     assert statuses == ["rejected", "accepted", "accepted", "rejected"]
+
+
+@pytest.mark.parametrize("bug", [None, "counter"])
+def test_a_merge_in_memory_validates_as_its_file_read_back(bug, tmp_path):
+    """``run``'s trace shares entry shapes only within each process file;
+    reading the merged file back shares them across processes.  Either
+    way ``validate`` finds and prints the same."""
+    res = run_twophase(
+        TwoPhaseConfig(rms=rm_names(3), seed=2, timeout=0.5,
+                       work=(1.0, 20.0), bug=bug, force_resend=bool(bug)),
+        tmp_path / "run")
+    back = read_trace_file(str(res.merged_file))
+    assert len({id(e.updates) for e in back}) < len(back)
+    for search in ("bfs", "dfs"):
+        cfg = ExplorerConfig(search=search, allow_stutter=True)
+        merged, read = validate(res.spec, res.trace, cfg), \
+            validate(res.spec, back, cfg)
+        assert merged.accepted == (bug is None)
+        assert explain(merged, res.trace) == explain(read, back)
+        assert json.dumps(merged.to_jsonable(), indent=2, sort_keys=True) \
+            == json.dumps(read.to_jsonable(), indent=2, sort_keys=True)

@@ -4,10 +4,11 @@ The sorted lookups and in-place updates in ``values.py`` must agree
 with the linear definitions and full rebuilds they replace, and the
 ``SpecState`` dedup key must be equal exactly when bindings are equal.
 The trace reader must read back whatever the Tracer writes, and turn
-any other text into an entry or a TracecheckError; the CLI must exit
-0-3 on it.  Matching pruned by frames must give the same matches as
-matching every step, and the matches ``validate`` reuses from its memo
-the same as matching afresh.  Only this module needs hypothesis.
+any other text into an entry or a TracecheckError, each line as
+``decode_line`` alone would; the CLI must exit 0-3 on it.  Matching
+pruned by frames must give the same matches as matching every step,
+and the matches ``validate`` reuses from its memo the same as matching
+afresh.  Only this module needs hypothesis.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import tempfile
 
 import pytest
+from conftest import assert_reads_line_by_line
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -193,6 +195,28 @@ def test_any_line_is_an_entry_or_a_tracecheck_error(lines):
             decode_line(line, n)
         except TracecheckError as exc:
             assert exc.line == n
+
+
+# Lines that repeat a rest after a clock, in and off the tracer's form,
+# so that ``read_lines`` reuses some shapes and must refuse others.
+_repeating = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(['{"clock":', '{ "clock":', '{"clock" :']),
+    st.sampled_from(["0", "1", "7", "01", "-0", "\u0663", "1\u0663", "1e3",
+                     "1.0", "true", str(I64_MAX), str(I64_MAX + 1),
+                     "1" * 20]),
+    st.sampled_from([
+        "}", "}\r", ',"event":"E"}', ',"event":"E","clock":2}',
+        ',"x":[{"op":"Update","path":[],"args":[[1]]}],"event_args":[]}',
+        ',"x":[{"op":"Update","path":[],"args":[1.5]}]}',
+        ',"x":[{"op":"Update","path":[],"args":[1],"extra":2}]}',
+        "}}", ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_repeating, _lines), max_size=12))
+def test_read_lines_reads_every_line_as_decode_line_does(lines):
+    assert_reads_line_by_line("\n".join(lines))
 
 
 def _exit_codes(text: str) -> list[int]:

@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from conftest import gen_entry
+from conftest import assert_reads_line_by_line, gen_entry
 
 from tracecheck import (ParseError, SchemaError, Trace, TraceEntry,
                         TracecheckError, UpdateOp, VInt, merge, parse_ndjson,
@@ -67,6 +67,14 @@ def test_variable_updates_shape():
         "path for 'x' must be an array")
     bad({"clock": 0, "x": [{"op": "Update", "path": [], "args": 1}]},
         "args for 'x' must be an array")
+
+
+def test_update_objects_refuse_unknown_keys():
+    upd = {"op": "Update", "path": [], "args": [1]}
+    bad({"clock": 1, "x": [upd, {**upd, "extra": 2}]},
+        "update for 'x' has unknown key 'extra'")
+    bad({"clock": 1, "x": [{**upd, "Op": "Add"}]},
+        "update for 'x' has unknown key 'Op'")
 
 
 def test_keys_resembling_reserved_names_are_variables():
@@ -157,6 +165,64 @@ def test_parse_rejects_float_args():
     with pytest.raises(SchemaError):
         parse_ndjson(
             '{"clock":0,"x":[{"op":"Update","path":[],"args":[1.5]}]}')
+
+
+# --- reading each shape once -------------------------------------------
+
+def test_repeated_shapes_read_as_each_line_alone():
+    rng = random.Random(13)
+    shapes = [gen_entry(rng, clock=0) for _ in range(8)]
+    clock, entries = 0, []
+    for _ in range(300):
+        clock += rng.randint(0, 2)
+        shape = rng.choice(shapes)
+        entries.append(TraceEntry(clock, shape.updates, shape.event,
+                                  shape.event_args))
+    assert_reads_line_by_line(serialize_trace(entries))
+
+
+REPEATED = '{"clock":1,"x":[{"op":"Update","path":[],"args":[[1]]}],' \
+    '"event":"E","event_args":["a"]}\n{"clock":%s,"x":[{"op":"Update",' \
+    '"path":[],"args":[[1]]}],"event":"E","event_args":["a"]}\n'
+
+
+@pytest.mark.parametrize("clock", [
+    "01", "-0", "\u0663", "1\u0663", "1e3", "1.0", "true",
+    "9223372036854775808", "1" * 20, "9223372036854775807", "0", "1",
+])
+def test_a_repeated_line_with_an_odd_clock_reads_as_alone(clock):
+    assert_reads_line_by_line(REPEATED % clock)
+
+
+@pytest.mark.parametrize("text", [
+    # Not written as the tracer writes: decoded in full every time.
+    '{ "clock":1,"event":"E"}\n{ "clock":2,"event":"E"}\n',
+    '{"clock" :1,"event":"E"}\n{"clock" :2,"event":"E"}\n',
+    # A second clock key is refused at every line, never kept.
+    '{"clock":1,"event":"E","clock":2}\n{"clock":3,"event":"E","clock":2}\n',
+    # The "\r" belongs to the rest, so these two lines differ.
+    '{"clock":1,"event":"E"}\r\n{"clock":2,"event":"E"}\r\n'
+    '{"clock":3,"event":"E"}\n',
+    # A repeated refused line is refused again, at its own line.
+    '{"clock":1,"x":[{"op":"Update","path":[],"args":[1.5]}]}\n'
+    '{"clock":2,"x":[{"op":"Update","path":[],"args":[1.5]}]}\n',
+    # A shared shape still goes through the clock-order check.
+    '{"clock":5,"event":"E"}\n{"clock":3,"event":"E"}\n'
+    '{"clock":5,"event":"E"}\n',
+], ids=["leading-space", "space-before-colon", "second-clock",
+        "trailing-cr", "refused-twice", "backwards"])
+def test_lines_off_the_tracers_form_read_as_alone(text):
+    assert_reads_line_by_line(text)
+
+
+def test_equal_shapes_in_one_file_share_updates_and_event_args():
+    a, b, c = parse_ndjson(REPEATED % "2" + '{"clock":3,"event":"E",'
+                           '"x":[{"op":"Update","path":[],"args":[[1]]}],'
+                           '"event_args":["a"]}\n')
+    assert (a.clock, b.clock) == (1, 2)
+    assert b.updates is a.updates and b.event_args is a.event_args
+    # Another spelling of an equal entry is decoded on its own.
+    assert c.updates == a.updates and c.updates is not a.updates
 
 
 # --- serialization ------------------------------------------------------
