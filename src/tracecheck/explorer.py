@@ -41,6 +41,31 @@ memo that lives for the one call.  Each successor state is interned
 by fingerprint: every node and memo entry holding an equal state holds
 the same ``SpecState``, so the memo adds references, not states.
 
+A line whose shape occurs once in the trace is never matched twice from
+one state, so its matches skip the memo (their states are still
+interned).
+
+A spec may declare ``symmetric`` names (TLC's ``SYMMETRY`` set).  The
+names free at line l are those no entry from l to the end mentions (see
+``symmetry``), and a successor whose state is a renaming of a node's
+state by a permutation π of line l's free names merges into that node.
+This is sound.  Say s' = π(s).  The spec's declaration makes π map each
+step s -> t to a step s' -> π(t) with the action's arguments renamed.
+Each remaining entry agrees with the renamed step exactly when it agrees
+with the step: π fixes every string the entry holds, so its event args
+pin the same valuations, and its updates replay to π of what they
+replay to from s (an update commutes with renaming the value it
+rewrites when its path and args hold no moved name).  So the subgraphs
+below (s, l) and (s', l) are isomorphic: both reach the goal or both
+fail at the same deepest entry.  The later lines' free names include
+line l's, so the merges below stay within the same renamings.  A node
+keeps the real state it was reached by, so witnesses, blocked states,
+attempts and DOT labels are states of the unreduced search, reached
+through the trace's own prefix; only a merged edge points at a node
+whose state equals its step's up to π.  The goal line is never reduced.
+Nothing is renamed until a line holds a second node, and the free
+names are worked out only then.
+
 The search needs only each node's matches.  It skips every step whose
 frame leaves out a recorded variable the entry changes (such a step
 keeps that variable, so it cannot match), and it builds no ``Attempt``:
@@ -59,6 +84,7 @@ from typing import Iterable, Sequence
 
 from .errors import GuardFailed, TracecheckError
 from .machine import ActionSchema, Spec, SpecState, step
+from .symmetry import Orbits, line_orbits
 from .traces import Trace, TraceEntry, serialize_entry
 from .values import (Value, apply_entry_updates, render_event_arg,
                      value_to_json)
@@ -514,15 +540,20 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
     length = len(trace)
 
     # Entry line -> shape id: entries with equal event, event args and
-    # updates share an id.
+    # updates share an id.  Only a line whose shape occurs again can hit
+    # the memo: a line is never matched twice from one state.
     shape_ids: dict[tuple, int] = {}
     shapes = [shape_ids.setdefault(
                   (e.event, e.event_args, tuple(e.updates.items())),
                   len(shape_ids))
               for e in trace]
+    uses = [0] * len(shape_ids)
+    for shape in shapes:
+        uses[shape] += 1
+    repeated = [uses[shape] > 1 for shape in shapes]
     # (state fingerprint, shape id) -> the pruned matches; fingerprint
     # -> the one state kept.
-    memo: dict[tuple[tuple, int], tuple[Match, ...]] = {}
+    memo: dict[tuple[tuple, int] | None, tuple[Match, ...]] = {}
     interned: dict[tuple, SpecState] = {}
 
     states: list[SpecState] = []         # node id -> state
@@ -532,9 +563,43 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
     edges: list[tuple[int, str, tuple[Value, ...], int]] = []
     dead: list[int] = []                 # nodes no step could leave
 
+    # Symmetry reduction.  first: line -> its first node (-1 while it
+    # has none).  Orbit keys are taken only at a line's second node:
+    # ``orbits`` (line -> its orbit keys, None where nothing merges) is
+    # worked out then, once, and the line's first node is filed under
+    # its key in ``orbit_ids``: (orbit key, line) -> node.
+    symmetric = len(spec.symmetric) > 1
+    first = [-1] * (length + 2)
+    orbits: list[Orbits | None] = []
+    orbit_ids: dict[tuple[tuple, int], int] = {}
+    keyed: set[int] = set()
+
+    def merged(state: SpecState, line: int) -> int | None:
+        """The node at ``line`` whose state renames to ``state``, which
+        equals no node there, though the line has one.  If there is
+        none, the id the next node will take is filed for ``state``:
+        the caller adds that node."""
+        if not orbits:
+            orbits.extend(line_orbits(spec, trace, shapes))
+        keys = orbits[line]
+        if keys is None:
+            return None
+        if line not in keyed:
+            keyed.add(line)
+            orbit_ids[keys.key(states[first[line]]), line] = first[line]
+        new = len(states)
+        node = orbit_ids.setdefault((keys.key(state), line), new)
+        if node == new:
+            return None
+        # Later arrivals of this state find the node directly.
+        ids[state.fingerprint(), line] = node
+        return node
+
     def add(key: tuple[tuple, int], state: SpecState, line: int,
             via: tuple[int, Match] | None) -> int:
         nid = ids[key] = len(states)
+        if first[line] < 0:
+            first[line] = nid
         states.append(state)
         lines.append(line)
         parent.append(via)
@@ -544,8 +609,10 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
     for s in spec.init:
         fp = s.fingerprint()
         key = (fp, 1)
-        if key not in ids:
-            frontier.append(add(key, interned.setdefault(fp, s), 1, None))
+        if key in ids or (symmetric and first[1] >= 0
+                          and merged(s, 1) is not None):
+            continue
+        frontier.append(add(key, interned.setdefault(fp, s), 1, None))
 
     bfs = cfg.search == "bfs"
     cursor = 0                           # BFS reads frontier as a queue
@@ -570,12 +637,15 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
         if line == length + 1:
             goal = nid
             break
-        memo_key = (state.fingerprint(), shapes[line - 1])
+        memo_key = ((state.fingerprint(), shapes[line - 1])
+                    if repeated[line - 1] else None)
         matches = memo.get(memo_key)
         if matches is None:
-            matches = memo[memo_key] = _interned_matches(
+            matches = _interned_matches(
                 match_entry(spec, state, trace[line - 1], cfg, compiled,
                             prune=True)[0], interned)
+            if memo_key is not None:
+                memo[memo_key] = matches
         if not matches:
             dead.append(nid)
             continue
@@ -583,6 +653,8 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
         for m in matches:
             key = (m.state.fingerprint(), line + 1)
             child = ids.get(key)
+            if child is None and symmetric and first[line + 1] >= 0:
+                child = merged(m.state, line + 1)
             if child is None:
                 # Acceptance is definitive even at the budget edge.
                 if line < length and cfg.max_states is not None \

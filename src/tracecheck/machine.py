@@ -11,6 +11,12 @@ explorer uses frames to skip actions that cannot make an entry's
 recorded changes, so ``step`` refuses an effect that binds a variable
 outside its declared frame.
 
+A spec may also declare ``symmetric`` constants, like TLC's
+``SYMMETRY`` set: names that renaming among themselves maps steps to
+steps.  The trace explorer then merges search nodes whose states
+differ only by such a renaming.  ``Spec`` refuses a declaration whose
+initial states are not closed under the renamings.
+
 Guards are lists of named clauses; the first false clause's
 description is reported when a step is refused, which is what the
 trace explorer surfaces in its diagnostics.
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import GuardFailed
-from .values import Value, value_to_json
+from .values import Value, renamed_canonical, value_to_json
 
 
 class SpecState:
@@ -95,6 +101,14 @@ class SpecState:
                 raise TypeError("bindings must map str to Value")
             vals[i] = v
         return self._derive(tuple(vals))
+
+    def renamed_fingerprint(self, names: Mapping[str, str]) -> tuple:
+        """The fingerprint of this state with every string and record
+        key that ``names`` maps replaced by its image (see
+        ``values.renamed_canonical``), worked out without building that
+        state."""
+        return (self._names,
+                *[renamed_canonical(v, names) for v in self._vals])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpecState):
@@ -170,10 +184,17 @@ class Spec:
     actions: list[ActionSchema]
     invariants: dict[str, Callable[[SpecState], bool]] = field(
         default_factory=dict)
+    # Interchangeable constants (TLC's SYMMETRY set): declaring them
+    # asserts that renaming them among themselves, in states and in
+    # action parameters alike, maps every step to a step.
+    symmetric: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.init:
             raise ValueError("a spec needs at least one initial state")
+        self.symmetric = tuple(self.symmetric)
+        if len(set(self.symmetric)) != len(self.symmetric):
+            raise ValueError("symmetric repeats a name")
         # Built once: a spec's variables and actions are fixed after
         # construction.
         self._by_name = {a.name: a for a in self.actions}
@@ -186,6 +207,26 @@ class Spec:
                     "initial state does not bind exactly the declared "
                     f"variables: {sorted(s.bindings)} vs "
                     f"{sorted(self._declared)}")
+        names = self.symmetric
+        if len(names) > 1:
+            # A swap of the first two names and a rotation of all of
+            # them generate every permutation, and so do the swaps of
+            # adjacent names: initial states closed under the first two
+            # renamings are closed under all, and otherwise some
+            # adjacent swap shows it.
+            init = {s.fingerprint() for s in self.init}
+
+            def leaves(renaming: dict[str, str]) -> bool:
+                return any(s.renamed_fingerprint(renaming) not in init
+                           for s in self.init)
+
+            if leaves({names[0]: names[1], names[1]: names[0]}) \
+                    or leaves(dict(zip(names, names[1:] + names[:1]))):
+                a, b = next((a, b) for a, b in zip(names, names[1:])
+                            if leaves({a: b, b: a}))
+                raise ValueError(
+                    f"initial states are not symmetric in {a!r} and "
+                    f"{b!r}: swapping them leaves the initial states")
 
     def action(self, name: str) -> ActionSchema | None:
         return self._by_name.get(name)

@@ -29,6 +29,10 @@ from ..values import VRec, VSet, VStr
 from .common import RECORD_LEVELS, Recorder, RunResult, SimRun, check_timing
 
 RM_STATES = ("working", "prepared", "committed", "aborted")
+# Every other string a state holds.  Renaming RMs renames these too if
+# an RM bears one of their names, so such a spec declares no symmetry.
+STATE_STRINGS = frozenset(RM_STATES + ("init", "done", "Prepared", "Commit",
+                                       "Abort", "type", "rm"))
 
 
 def _prepared_msg(rm: str) -> VRec:
@@ -151,6 +155,7 @@ def build_twophase_spec(rms) -> Spec:
         init=[init],
         actions=actions,
         invariants={"TypeOK": type_ok, "Consistent": consistent},
+        symmetric=() if STATE_STRINGS.intersection(rm_names) else rm_names,
     )
 
 

@@ -30,7 +30,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import BagUnderflow, OpTypeError, ParseError, PathError, UnknownOp
 
@@ -287,6 +287,41 @@ class VRec(Value):
         if v is None:
             raise KeyError(key)
         return v
+
+
+def renamed_canonical(v: Value, names: Mapping[str, str],
+                      part: Callable[[Value, Mapping[str, str]], bytes]
+                      | None = None) -> bytes:
+    """The canonical bytes of ``v`` with every string and record key
+    that ``names`` maps replaced by its image, at any depth, rendered
+    without building the renamed value.  ``names`` must be one-to-one,
+    so distinct elements and keys stay distinct.  ``part`` renders each
+    element, field value or item of ``v`` renamed; by default it is
+    this function."""
+    part = part or renamed_canonical
+    if isinstance(v, VStr):
+        new = names.get(v.text)
+        return v.canonical() if new is None else VStr(new).canonical()
+    if isinstance(v, VRec):
+        fields = []
+        for k, x in sorted([(names.get(k, k), x) for k, x in v.fields],
+                           key=_field_key):
+            raw = k.encode("utf-8")
+            if type(x) is VStr and x.text not in names:
+                c = x.canonical()    # the common field: a string kept
+            else:
+                c = part(x, names)
+            fields.append(b"k%d:%s=%s" % (len(raw), raw, c))
+        return b"R{" + b"".join(fields) + b"}"
+    if isinstance(v, VSeq):
+        return b"q[" + b"".join([part(x, names) for x in v.items]) + b"]"
+    if isinstance(v, VSet):
+        return b"S[" + b"".join(sorted([part(x, names)
+                                        for x in v.items])) + b"]"
+    if isinstance(v, VBag):
+        return b"B[" + b"".join([b"%s*%d;" % pair for pair in sorted(
+            [(part(x, names), c) for x, c in v.pairs])]) + b"]"
+    return v.canonical()
 
 
 def _require_value(x: Any) -> Value:

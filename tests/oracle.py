@@ -2,6 +2,9 @@
 
 ``oracle_validate`` decides acceptance by enumerating behaviors
 outright, and ``explore`` walks a spec's whole reachable state graph.
+``free_names`` lists the symmetric names a trace suffix leaves
+unmentioned, and ``renamings`` every renaming of a state among them,
+built by ``renamed``, which builds the renamed value outright.
 Neither shares matching code with ``tracecheck.explorer``: from it they
 take only the configuration and its composition check.  Both ignore
 action frames: where the search skips a step whose frame cannot make
@@ -10,9 +13,13 @@ an entry's recorded changes, the oracle still fires it.
 
 from __future__ import annotations
 
+import itertools
+import json
+
 from tracecheck import (GuardFailed, Spec, SpecState, Trace,
-                        TracecheckError, Value, apply_entry_updates,
-                        render_event_arg, step)
+                        TracecheckError, Value, VBag, VRec, VSeq, VSet, VStr,
+                        apply_entry_updates, render_event_arg, step,
+                        value_to_jsonable)
 from tracecheck.explorer import ExplorerConfig, _check_composition
 
 
@@ -125,3 +132,65 @@ def explore(spec: Spec, max_states: int = 10_000
                         edges.append((cursor, schema.name, values, index[fp]))
         cursor += 1
     return states, edges
+
+
+def _strings(obj, out: set) -> None:
+    """Add every string and object key in parsed JSON to ``out``."""
+    if isinstance(obj, str):
+        out.add(obj)
+    elif isinstance(obj, dict):
+        out.update(obj)
+        for x in obj.values():
+            _strings(x, out)
+    elif isinstance(obj, list):
+        for x in obj:
+            _strings(x, out)
+
+
+def free_names(spec: Spec, entries: Trace, line: int) -> tuple[str, ...]:
+    """The spec's symmetric names that no entry from ``line`` (1-based)
+    to the end mentions: not as an event arg or inside one's JSON, not
+    in an update path, and not as a string or key in an update's args."""
+    said: set[str] = set()
+    for e in entries[line - 1:]:
+        for arg in e.event_args or ():
+            said.add(arg)
+            try:
+                _strings(json.loads(arg), said)
+            except ValueError:
+                pass
+        for ops in e.updates.values():
+            for u in ops:
+                said.update(u.path)
+                for a in u.args:
+                    _strings(value_to_jsonable(a), said)
+    return tuple(n for n in spec.symmetric if n not in said)
+
+
+def renamed(v: Value, names: dict[str, str]) -> Value:
+    """``v`` with every string and record key that ``names`` maps
+    replaced by its image, at any depth: the renamed value whose bytes
+    ``values.renamed_canonical`` renders without building it."""
+    if isinstance(v, VStr):
+        return VStr(names.get(v.text, v.text))
+    if isinstance(v, VRec):
+        return VRec((names.get(k, k), renamed(x, names)) for k, x in v.fields)
+    if isinstance(v, VBag):
+        return VBag((renamed(x, names), c) for x, c in v.pairs)
+    if isinstance(v, VSeq):
+        return VSeq(renamed(x, names) for x in v.items)
+    if isinstance(v, VSet):
+        return VSet(renamed(x, names) for x in v.items)
+    return v
+
+
+def renamed_state(state: SpecState, names: dict[str, str]) -> SpecState:
+    """``state`` with each value renamed by ``names``."""
+    return SpecState({k: renamed(v, names)
+                      for k, v in state.bindings.items()})
+
+
+def renamings(state: SpecState, names: tuple[str, ...]) -> set[SpecState]:
+    """``state`` under every permutation of ``names``."""
+    return {renamed_state(state, dict(zip(names, image)))
+            for image in itertools.permutations(names)}

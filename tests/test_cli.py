@@ -416,17 +416,21 @@ _GOLDEN_CASES = {
 
 # sha256 of (plain stdout, --json stdout, --dot stdout, DOT file).
 _GOLDEN_DIGESTS = {
+    # Re-recorded when twophase declared its RMs symmetric: the search
+    # merges nodes whose states differ by a renaming of RMs no later
+    # entry names, so it explores fewer nodes and lists fewer blocked
+    # states.
     ("twophase-e-counter", "bfs"): (
-        "888e3e36aa342d6027eb747f87b6fc77eb26460f2b1d58d3e8f665135faa0ec9",
-        "fe5a1797f89a7bf891463cf53526bb7facf5832a8ecc187e4238ce1f6e8ccdd0",
-        "888e3e36aa342d6027eb747f87b6fc77eb26460f2b1d58d3e8f665135faa0ec9",
-        "8980c754dbf3ef9d4f1dbe36fa7acc41076b16525a8de8e40a5a985ba47d375a",
+        "4b88b02c005035682dfe9481408153bd8631937f8c4b93f7f3e7ea8272a89aae",
+        "7e261efe17e45cbbbb6c10c809894da25ecabd5fbf167d306e50d6aebe58221d",
+        "4b88b02c005035682dfe9481408153bd8631937f8c4b93f7f3e7ea8272a89aae",
+        "877c31dfb128c4ff8a9f4a010f608cb9050849b6372feb7b5c85f20245b1a380",
     ),
     ("twophase-e-counter", "dfs"): (
-        "02fb4dd000524cac904d0e74f4d8a836695fc2f30c55bfd57bc6b354d8320537",
-        "5f83b941b1c783113489465ce5b1d0723b28806ced3372d4da06a4aade76b204",
-        "02fb4dd000524cac904d0e74f4d8a836695fc2f30c55bfd57bc6b354d8320537",
-        "e99c5da6a7b8e8c90907d2cbd3aa8538d7fa78ea6643164e4f65643ec389d473",
+        "b897b057c389be55724542cb3f50f2de50435b0a05578f60b7442f2cbf182013",
+        "29337f0d2fac843195f7f7531ca29e7eb83124e0591c7df575465879a202a4c2",
+        "b897b057c389be55724542cb3f50f2de50435b0a05578f60b7442f2cbf182013",
+        "33b8793e7485fb26326ad2405a984b2463d77434e430236a0b477c71675d15c7",
     ),
     ("tokenring-ea-self-message", "bfs"): (
         "c5d7d24691bc84a2a3a0c863a96fcf2ec431faee9f63de8b90727c6783779908",

@@ -1,0 +1,312 @@
+"""Symmetry reduction: a spec's declared interchangeable names, and the
+search's merging of nodes whose states differ only by a renaming of
+names no later trace entry mentions.
+
+The reduced search is checked against the same spec with no names
+declared, and against the brute-force oracle: same verdict, same
+deepest entry, a witness that replays entry by entry, and only blocked
+states the unreduced search also reports.
+"""
+
+import contextlib
+import dataclasses
+import io
+import itertools
+import random
+
+import pytest
+from oracle import (explore, free_names, oracle_validate, renamed,
+                    renamed_state, renamings)
+
+from tracecheck import (ExplorerConfig, GuardFailed, Spec, SpecState,
+                        TraceEntry, UpdateOp, VBag, VInt, VRec, VSeq, VSet,
+                        VStr, explain, explored_dot, match_entry, mk, step,
+                        validate)
+from tracecheck.cli import main
+from tracecheck.protocols import (TwoPhaseConfig, build_twophase_spec,
+                                  rm_names, run_twophase)
+from tracecheck.symmetry import Orbits
+from tracecheck.values import renamed_canonical
+
+# --- renaming values and declaring symmetry -----------------------------
+
+
+def test_renamed_renames_strings_and_keys_at_any_depth():
+    v = VRec([("a", VSet([VStr("a"), VStr("c")])),
+              ("k", VSeq([VStr("b"), VBag([(VStr("a"), 2)])]))])
+    swap = {"a": "b", "b": "a"}
+    want = VRec([("b", VSet([VStr("b"), VStr("c")])),
+                 ("k", VSeq([VStr("a"), VBag([(VStr("b"), 2)])]))])
+    assert renamed(v, swap) == want
+    assert renamed_canonical(v, swap) == want.canonical()
+
+
+def _one_var_spec(init_values, symmetric):
+    return Spec(variables=("x",),
+                init=[SpecState({"x": mk(v)}) for v in init_values],
+                actions=[], symmetric=symmetric)
+
+
+def test_spec_refuses_a_repeated_symmetric_name():
+    with pytest.raises(ValueError, match="repeats"):
+        _one_var_spec(["a"], ("a", "b", "a"))
+
+
+def test_spec_refuses_initial_states_not_closed_under_a_swap():
+    # Closed under swapping a and b, not under swapping b and c.
+    with pytest.raises(ValueError, match="'b' and 'c'"):
+        _one_var_spec([{"a"}, {"b"}], ("a", "b", "c"))
+    spec = _one_var_spec([{"a"}, {"b"}, {"c"}], ("a", "b", "c"))
+    assert spec.symmetric == ("a", "b", "c")
+
+
+def test_twophase_declares_its_rms_unless_one_is_named_like_a_state_string():
+    assert build_twophase_spec(rm_names(3)).symmetric == rm_names(3)
+    for clash in ("working", "init", "done", "Prepared", "type", "rm"):
+        assert build_twophase_spec((clash, "rm-1")).symmetric == ()
+    # Renaming would rename the state string too.  Where the initial
+    # state holds it, declaring the RMs anyway is refused.
+    for clash in ("working", "init"):
+        spec = build_twophase_spec((clash, "rm-1"))
+        with pytest.raises(ValueError, match="not symmetric"):
+            dataclasses.replace(spec, symmetric=(clash, "rm-1"))
+
+
+def test_twophase_with_an_rm_named_working_validates_as_unreduced(tmp_path):
+    for bug in (None, "counter"):
+        extra = (dict(bug=bug, force_resend=True, resend_logging="silent")
+                 if bug else {})
+        res = run_twophase(TwoPhaseConfig(
+            rms=("working", "rm-1", "rm-2"), seed=4, record="e", **extra),
+            tmp_path / f"run-{bug}")
+        assert res.spec.symmetric == ()
+        plain = dataclasses.replace(res.spec, symmetric=())
+        for search in ("bfs", "dfs"):
+            cfg = ExplorerConfig(search=search)
+            got, want = (validate(s, res.trace, cfg)
+                         for s in (res.spec, plain))
+            assert got.accepted == (bug is None)
+            assert explain(got, res.trace) == explain(want, res.trace)
+            assert got.to_jsonable() == want.to_jsonable()
+            assert explored_dot(got, res.trace) == \
+                explored_dot(want, res.trace)
+            # The same through the command line's spec argument.
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["validate", "--spec",
+                             "twophase:working,rm-1,rm-2", "--search", search,
+                             "--trace", str(res.out_dir / "merged.ndjson")])
+            assert code == (0 if bug is None else 1)
+            assert out.getvalue().startswith(explain(want, res.trace))
+
+
+def test_twophase_steps_commute_with_swapping_two_rms():
+    """For every reachable state and every swap of two RMs, firing an
+    action on the swapped state with swapped arguments gives the swapped
+    successors."""
+    spec = build_twophase_spec(rm_names(3))
+    states, _ = explore(spec)
+
+    def successors(state, action, values, names=None):
+        try:
+            outs = step(spec, state, action, values)
+        except GuardFailed:
+            return None
+        return {(renamed_state(t, names) if names else t).fingerprint()
+                for t in outs}
+
+    for a, b in itertools.combinations(rm_names(3), 2):
+        swap = {a: b, b: a}
+        for s in states:
+            for schema in spec.actions:
+                for values in schema.valuations():
+                    moved = tuple(renamed(v, swap) for v in values)
+                    assert successors(renamed_state(s, swap), schema.name,
+                                      moved) == \
+                        successors(s, schema.name, values, swap)
+
+
+def _random_value(rng, depth=3):
+    """A value whose strings and keys come from a few names."""
+    names = ("a", "b", "c", "é", "ab")
+    kind = rng.choice(["str", "int"] + ["seq", "set", "bag", "rec"] * (
+        depth > 0))
+    if kind == "str":
+        return VStr(rng.choice(names))
+    if kind == "int":
+        return VInt(rng.randint(0, 2))
+    kids = [_random_value(rng, depth - 1) for _ in range(rng.randint(0, 3))]
+    if kind == "seq":
+        return VSeq(kids)
+    if kind == "set":
+        return VSet(kids)
+    if kind == "bag":
+        return VBag([(k, rng.randint(1, 2)) for k in kids])
+    return VRec(dict(zip(rng.sample(names, len(kids)), kids)).items())
+
+
+def test_renamed_bytes_are_the_renamed_values_bytes():
+    rng = random.Random(14)
+    free = ("a", "b", "c", "é")
+    for _ in range(500):
+        orbits = Orbits(free, frozenset(free))
+        orbits._start()
+        v = _random_value(rng)
+        orbits._places(v)
+        perm = dict(zip(free, rng.sample(free, len(free))))
+        want = renamed(v, perm).canonical()
+        assert renamed_canonical(v, perm) == want
+        assert orbits._rename(v, perm) == want
+        state = SpecState({"v": v, "w": VStr("a")})
+        assert state.renamed_fingerprint(perm) == \
+            renamed_state(state, perm).fingerprint()
+
+
+def test_orbit_keys_are_equal_exactly_within_an_orbit():
+    # Twophase at three RMs: every reachable state, keyed with all RMs
+    # free.  Equal keys must mean a renaming (soundness), and here each
+    # orbit gets one key (no state is left unmerged).
+    spec = build_twophase_spec(rm_names(3))
+    states, _ = explore(spec)
+    orbits = Orbits(spec.symmetric, frozenset(spec.symmetric))
+    by_key = {}
+    for s in states:
+        by_key.setdefault(orbits.key(s), set()).add(s)
+    for group in by_key.values():
+        assert group == renamings(next(iter(group)), rm_names(3)) & set(states)
+    assert len(by_key) < len(states)
+
+
+# --- the reduced search against the unreduced one and the oracle --------
+
+
+def _replays(spec, trace, cfg, witness):
+    """Each witness step is a match of its entry from the state the
+    previous step left (the initial state for the first)."""
+    (prev,) = spec.init
+    for entry, w in zip(trace, witness):
+        matches, _ = match_entry(spec, prev, entry, cfg)
+        if (w.state, w.name, w.values, w.stage_values) not in [
+                (m.state, m.name, m.values, m.stage_values)
+                for m in matches]:
+            return False
+        prev = w.state
+    return len(witness) == len(trace)
+
+
+def check_reduction(spec, trace, cfg, oracle=True):
+    """The reduced search agrees with the unreduced one (and, when
+    asked, with the oracle); returns the reduced verdict."""
+    assert len(spec.symmetric) > 1
+    got = validate(spec, trace, cfg)
+    want = validate(dataclasses.replace(spec, symmetric=()), trace, cfg)
+    assert got.status() == want.status()
+    assert got.consumed_max == want.consumed_max
+    assert got.distinct_states <= want.distinct_states
+    if oracle:
+        assert got.accepted == oracle_validate(spec, trace, cfg)
+    if got.accepted:
+        assert _replays(spec, trace, cfg, got.witness)
+    else:
+        assert {f.entry_index for f in got.failures} == \
+            {f.entry_index for f in want.failures}
+        assert {f.state for f in got.failures} <= \
+            {f.state for f in want.failures}
+    return got
+
+
+def _mutants(trace, rng):
+    """The trace, one entry dropped, two adjacent entries swapped, and
+    one event arg pointed at another RM."""
+    out = [trace]
+    entries = list(trace)
+    i = rng.randrange(len(entries))
+    out.append(entries[:i] + entries[i + 1:])
+    if len(entries) > 1:
+        j = rng.randrange(len(entries) - 1)
+        out.append(entries[:j] + [entries[j + 1], entries[j]]
+                   + entries[j + 2:])
+    named = [k for k, e in enumerate(entries) if e.event_args]
+    if named:
+        k = rng.choice(named)
+        e = entries[k]
+        other = rng.choice([r for r in rm_names(3) if r != e.event_args[0]])
+        out.append(entries[:k] + [dataclasses.replace(
+            e, event_args=(other,) + e.event_args[1:])] + entries[k + 1:])
+    return out
+
+
+@pytest.mark.parametrize("level", ["e", "ea", "v", "vpea"])
+def test_reduced_search_agrees_with_unreduced_and_oracle(level, tmp_path):
+    rng = random.Random(f"symmetry-{level}")
+    merged_somewhere = False
+    for seed in range(3):
+        for bug in (None, "counter"):
+            extra = (dict(bug=bug, force_resend=True,
+                          resend_logging="silent") if bug else {})
+            res = run_twophase(TwoPhaseConfig(
+                rms=rm_names(3), seed=seed, record=level, **extra),
+                tmp_path / f"run-{seed}-{bug}")
+            for trace in _mutants(res.trace, rng):
+                for search in ("bfs", "dfs"):
+                    cfg = ExplorerConfig(search=search,
+                                         allow_stutter=level in ("v", "vpea"))
+                    got = check_reduction(res.spec, trace, cfg)
+                    plain = validate(dataclasses.replace(
+                        res.spec, symmetric=()), trace, cfg)
+                    merged_somewhere |= (got.distinct_states
+                                         < plain.distinct_states)
+    if level == "e":
+        assert merged_somewhere
+
+
+def test_reduced_search_agrees_on_wider_e_traces(tmp_path):
+    # Four and five RMs: the oracle is too slow here, so the unreduced
+    # search is the reference.
+    for rms in (4, 5):
+        for bug in (None, "counter"):
+            extra = (dict(bug=bug, force_resend=True,
+                          resend_logging="silent") if bug else {})
+            res = run_twophase(TwoPhaseConfig(
+                rms=rm_names(rms), seed=rms, record="e", **extra),
+                tmp_path / f"run-{rms}-{bug}")
+            for search in ("bfs", "dfs"):
+                got = check_reduction(res.spec, res.trace,
+                                      ExplorerConfig(search=search),
+                                      oracle=False)
+                assert got.accepted == (bug is None)
+
+
+# Each case: entry 1 prepares some RM, and entry 2 can follow only the
+# branch where rm-1 prepared.  rm-0 is mentioned only at entry 2, in
+# one way each; a search that missed that mention would take both RMs
+# as free at entry 2, merge the rm-1 branch into the rm-0 one (found
+# first) and reject.
+_PREPARE = TraceEntry(clock=1, event="RMPrepare")
+_ONLY_RM0_MENTION = {
+    "event arg": TraceEntry(clock=2, event="RMPrepare",
+                            event_args=("rm-0",)),
+    "update path": TraceEntry(clock=2, event="RMPrepare", updates={
+        "rmState": (UpdateOp("Update", ("rm-0",), (VStr("prepared"),)),)}),
+    "update arg": TraceEntry(clock=2, event="RMPrepare", updates={
+        "msgs": (UpdateOp("Add", (), (mk({"type": "Prepared",
+                                          "rm": "rm-0"}),)),)}),
+}
+
+
+@pytest.mark.parametrize("kind", list(_ONLY_RM0_MENTION))
+@pytest.mark.parametrize("search", ["bfs", "dfs"])
+def test_a_name_mentioned_only_later_is_not_merged(kind, search):
+    spec = build_twophase_spec(rm_names(2))
+    trace = [_PREPARE, _ONLY_RM0_MENTION[kind]]
+    assert free_names(spec, trace, 2) == ("rm-1",)
+    cfg = ExplorerConfig(search=search)
+    got = check_reduction(spec, trace, cfg)
+    assert got.accepted
+    assert got.witness[0].values == (VStr("rm-1"),)
+    # With the mention dropped both RMs are free, and the search merges.
+    bare = [_PREPARE, dataclasses.replace(trace[1], event_args=None,
+                                          updates={})]
+    assert validate(spec, bare, cfg).distinct_states < \
+        validate(dataclasses.replace(spec, symmetric=()), bare,
+                 cfg).distinct_states
