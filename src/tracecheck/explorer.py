@@ -68,12 +68,25 @@ names are worked out only then.
 
 The search needs only each node's matches.  It skips every step whose
 frame leaves out a recorded variable the entry changes (such a step
-keeps that variable, so it cannot match), and it builds no ``Attempt``:
-it keeps only the ids of dead nodes.  The attempts that explain a
-rejection are built afterwards, by matching again without pruning, for
-the dead nodes at the deepest entry, the only ones a verdict reports.
-An attempt holds plain facts; its text is rendered only when a report
-reads it.
+keeps that variable, so it cannot match).  An action may also declare
+key frames (``ActionSchema.keys``): the record variable it changes at
+most at the field its key parameter names.  Where an entry without
+event args changes such a variable, the search fires only the
+valuations whose key renders as a field the entry's updates of that
+variable write, the first segments of their paths (none when an update
+rewrites the variable whole); event args pin valuations already.
+This is sound.  Say the action changes v only at field f, the entry
+changes v, and the step ends at v's replayed value.  Then f is a field
+where the pre-state and the replayed value differ, and an update
+rewrites only the field its path starts at, so f starts one of the
+entry's paths for v.  A wrong key can only drop a match, so it can only
+turn an acceptance into a rejection.
+
+The search builds no ``Attempt``: it keeps only the ids of dead nodes.
+The attempts that explain a rejection are built afterwards, by matching
+again without pruning, for the dead nodes at the deepest entry, the
+only ones a verdict reports.  An attempt holds plain facts; its text is
+rendered only when a report reads it.
 """
 
 from __future__ import annotations
@@ -178,6 +191,7 @@ class _Compiled:
                 vals, [tuple(map(render_event_arg, v)) for v in vals])
         self._pinned: dict[tuple[str, tuple[str, ...]],
                            list[tuple[Value, ...]]] = {}
+        self._keyed: dict[tuple[str, tuple], list[tuple[Value, ...]]] = {}
 
     def valuations(self, schema: ActionSchema,
                    event_args: Sequence[str] | None = None
@@ -193,6 +207,23 @@ class _Compiled:
             n = len(key[1])
             pinned = self._pinned[key] = [
                 v for v, text in zip(vals, rendered) if text[:n] == key[1]]
+        return pinned
+
+    def keyed(self, schema: ActionSchema,
+              keys: tuple[tuple[int, tuple[str, ...]], ...]
+              ) -> list[tuple[Value, ...]]:
+        """The schema's valuations in domain product order, keeping
+        those whose parameter at each (position, fields) in ``keys``
+        renders as one of ``fields``."""
+        vals, rendered = self._domains[schema.name]
+        if not keys:
+            return vals
+        key = (schema.name, keys)
+        pinned = self._keyed.get(key)
+        if pinned is None:
+            pinned = self._keyed[key] = [
+                v for v, text in zip(vals, rendered)
+                if all(text[i] in fields for i, fields in keys)]
         return pinned
 
 
@@ -410,6 +441,24 @@ def _chain_matches(spec: Spec, state: SpecState,
     return outcomes, len(stages)
 
 
+def _key_pins(schema: ActionSchema, entry: TraceEntry,
+              changed: Sequence[str]
+              ) -> tuple[tuple[int, tuple[str, ...]], ...]:
+    """(parameter position, fields) for each of the schema's key frames
+    on a variable in ``changed`` whose every update in ``entry`` has a
+    path: the fields are the distinct first segments of those paths,
+    the only fields the updates can rewrite.  See the module docstring
+    for why a keyed action can match only with its key among them."""
+    pins = []
+    for var, i in schema.key_positions:
+        if var in changed:
+            heads = [u.path[0] if u.path else None
+                     for u in entry.updates[var]]
+            if None not in heads:
+                pins.append((i, tuple(dict.fromkeys(heads))))
+    return tuple(pins)
+
+
 def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
                 cfg: ExplorerConfig, compiled: _Compiled | None = None,
                 *, prune: bool = False
@@ -425,8 +474,10 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
 
     With ``prune``, the matches are the same, in the same order, for
     less work: every step whose frame leaves out a recorded variable
-    the entry changes is skipped, and no attempt is kept (``attempts``
-    comes back empty).
+    the entry changes is skipped, an entry without event args fires an
+    action keyed on a changed variable only at valuations whose key
+    names a field the entry's updates of it write, and no attempt is
+    kept (``attempts`` comes back empty).
     """
     if compiled is None:
         compiled = _Compiled(spec, cfg)
@@ -481,6 +532,11 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
         if len(stages) == 1:
             # An action: each valuation is a candidate of its own.
             valuations = compiled.valuations(stages[0], event_args)
+            if changed and not event_args and stages[0].key_positions:
+                # An action keyed on a changed variable can match only
+                # with its key at a field the entry's updates of it write.
+                valuations = compiled.keyed(
+                    stages[0], _key_pins(stages[0], entry, changed))
             for vals in valuations:
                 try:
                     outs = step(spec, state, name, vals)

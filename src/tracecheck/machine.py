@@ -9,7 +9,13 @@ its frame (``writes``), the variables its effect may bind: the analogue
 of TLA+'s ``UNCHANGED`` clause, read the other way round.  The trace
 explorer uses frames to skip actions that cannot make an entry's
 recorded changes, so ``step`` refuses an effect that binds a variable
-outside its declared frame.
+outside its declared frame.  It may also declare key frames (``keys``):
+for a record variable, the parameter that names the only field its
+effect may change there, as in TLA+'s ``[rmState EXCEPT ![r] = ...]``.
+The trace explorer uses them to fire only the valuations that name a
+field an event-less entry writes.  ``step`` does not check key frames:
+the search never fires a valuation they rule out, so a check there
+could not catch a wrong one.
 
 A spec may also declare ``symmetric`` constants, like TLC's
 ``SYMMETRY`` set: names that renaming among themselves maps steps to
@@ -149,12 +155,38 @@ class ActionSchema:
     # The frame: every variable the effect may bind.  None means it may
     # bind any variable.
     writes: frozenset[str] | None = None
+    # Key frames, as (record variable, parameter) pairs (a dict is
+    # accepted too): the effect changes that variable at most at the
+    # field named by the parameter's event-arg rendering, and keeps its
+    # set of fields.
+    keys: tuple[tuple[str, str], ...] = ()
+    # (variable, position of its key parameter) per key frame, for the
+    # explorer.  Not a field: set only on an action that declares keys.
+    key_positions = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "_param_names",
-                           tuple(n for n, _ in self.params))
+        names = tuple(n for n, _ in self.params)
+        object.__setattr__(self, "_param_names", names)
         if self.writes is not None:
             object.__setattr__(self, "writes", frozenset(self.writes))
+        if not self.keys:
+            return
+        keys = tuple(self.keys.items() if isinstance(self.keys, dict)
+                     else map(tuple, self.keys))
+        positions = {}
+        for var, param in keys:
+            if param not in names:
+                raise ValueError(f"{self.name}: key frame of {var!r} "
+                                 f"names no parameter: {param!r}")
+            if var in positions:
+                raise ValueError(f"{self.name}: key frame of {var!r} "
+                                 "is declared twice")
+            if self.writes is not None and var not in self.writes:
+                raise ValueError(f"{self.name}: key frame of {var!r} "
+                                 "is outside its frame")
+            positions[var] = names.index(param)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "key_positions", tuple(positions.items()))
 
     def valuations(self) -> Iterable[tuple[Value, ...]]:
         """Cartesian product of the parameter domains, declared order."""

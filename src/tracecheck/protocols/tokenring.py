@@ -60,7 +60,7 @@ def build_tokenring_spec(n: int) -> Spec:
             (GuardClause("node i is active",
                          lambda s, p: is_active(s, p["i"].n)),),
             deactivate,
-            writes=frozenset({"active"})),
+            writes=frozenset({"active"}), keys={"active": "i"}),
         ActionSchema(
             "PassToken", (("i", ids),),
             (GuardClause("node i holds the token",

@@ -93,19 +93,19 @@ def build_twophase_spec(rms) -> Spec:
                 "rmState": set_rm_state(s, p, "prepared"),
                 "msgs": s["msgs"].with_element(prepared_msg[p["r"].text]),
             }],
-            writes=frozenset({"rmState", "msgs"})),
+            writes=frozenset({"rmState", "msgs"}), keys={"rmState": "r"}),
         ActionSchema(
             "RMRcvCommitMsg", (("r", rm_dom),),
             (GuardClause("a Commit message is in msgs",
                          lambda s, p: _COMMIT_MSG in s["msgs"]),),
             lambda s, p: [{"rmState": set_rm_state(s, p, "committed")}],
-            writes=frozenset({"rmState"})),
+            writes=frozenset({"rmState"}), keys={"rmState": "r"}),
         ActionSchema(
             "RMRcvAbortMsg", (("r", rm_dom),),
             (GuardClause("an Abort message is in msgs",
                          lambda s, p: _ABORT_MSG in s["msgs"]),),
             lambda s, p: [{"rmState": set_rm_state(s, p, "aborted")}],
-            writes=frozenset({"rmState"})),
+            writes=frozenset({"rmState"}), keys={"rmState": "r"}),
         ActionSchema(
             "TMRcvPrepared", (("r", rm_dom),),
             (tm_undecided,

@@ -7,8 +7,14 @@ unmentioned, and ``renamings`` every renaming of a state among them,
 built by ``renamed``, which builds the renamed value outright.
 Neither shares matching code with ``tracecheck.explorer``: from it they
 take only the configuration and its composition check.  Both ignore
-action frames: where the search skips a step whose frame cannot make
-an entry's recorded changes, the oracle still fires it.
+action frames and key frames: where the search skips a step they rule
+out, the oracle still fires it.
+
+``assert_declarations_hold`` audits what a spec declares so that the
+search may skip or merge work: frames, key frames and symmetric names.
+A wrong declaration can only turn an acceptance into a rejection, and
+nothing at validation time checks key frames or symmetry, so this is
+where they are checked.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import json
 from tracecheck import (GuardFailed, Spec, SpecState, Trace,
                         TracecheckError, Value, VBag, VRec, VSeq, VSet, VStr,
                         apply_entry_updates, render_event_arg, step,
-                        value_to_jsonable)
+                        value_to_json, value_to_jsonable)
 from tracecheck.explorer import ExplorerConfig, _check_composition
 
 
@@ -194,3 +200,65 @@ def renamings(state: SpecState, names: tuple[str, ...]) -> set[SpecState]:
     """``state`` under every permutation of ``names``."""
     return {renamed_state(state, dict(zip(names, image)))
             for image in itertools.permutations(names)}
+
+
+def assert_declarations_hold(spec: Spec) -> None:
+    """Fire every action instance in every state ``explore`` reaches and
+    check the spec's declarations against what the steps do.
+
+    - Frames: ``step`` refuses an effect that binds a variable outside
+      its action's ``writes`` with a ValueError, so a breach surfaces
+      as that error (``explore`` fires every enabled instance).
+    - Key frames: each successor keeps a keyed record's fields and
+      changes it at most at the field its key parameter renders as.
+    - Symmetry: firing on a renamed state with renamed arguments gives
+      the renamed successors (or fails the guard on both sides), for a
+      swap of the first two ``symmetric`` names and a rotation of all
+      of them, which generate every permutation.
+
+    Raises AssertionError naming the state, the step and the check.
+    """
+    states, _ = explore(spec)
+    names = spec.symmetric
+    moves = [{names[0]: names[1], names[1]: names[0]},
+             dict(zip(names, names[1:] + names[:1]))] if len(names) > 1 \
+        else []
+
+    def successors(state: SpecState, action: str,
+                   values: tuple[Value, ...]) -> list[SpecState] | None:
+        try:
+            return step(spec, state, action, values)
+        except GuardFailed:
+            return None
+
+    for s in states:
+        shifted = [(move, renamed_state(s, move)) for move in moves]
+        for schema in spec.actions:
+            positions = {p: i for i, (p, _) in enumerate(schema.params)}
+            for values in schema.valuations():
+                label = (f"{schema.name}("
+                         f"{', '.join(map(render_event_arg, values))})")
+                outs = successors(s, schema.name, values)
+                for var, param in schema.keys:
+                    key = render_event_arg(values[positions[param]])
+                    for t in outs or ():
+                        pre, post = s[var], t[var]
+                        same_fields = isinstance(pre, VRec) and \
+                            isinstance(post, VRec) and \
+                            pre.keys() == post.keys()
+                        assert same_fields and all(
+                            k == key for k, x in pre.fields
+                            if post[k] != x), (
+                            f"{label} from {s.describe()}: {var} goes "
+                            f"{value_to_json(pre)} -> {value_to_json(post)}, "
+                            f"not only at its key field {key!r}")
+                for move, s_moved in shifted:
+                    moved = successors(s_moved, schema.name,
+                                       tuple(renamed(v, move)
+                                             for v in values))
+                    want = None if outs is None else {
+                        renamed_state(t, move) for t in outs}
+                    got = None if moved is None else set(moved)
+                    assert got == want, (
+                        f"{label} from {s.describe()} does not commute "
+                        f"with renaming {move}")

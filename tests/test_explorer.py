@@ -287,6 +287,37 @@ def test_pruning_skips_only_steps_whose_frame_misses_a_change(
     assert [m.name for m in pruned] == [m.name for m in full] == ["Free"]
 
 
+@pytest.mark.parametrize("update, pinned", [
+    (up("Update", "prepared", path=["rm-2"]), ["rm-2"]),
+    # A whole-record update names no field, so it pins nothing.
+    (up("Update", {"rm-0": "working", "rm-1": "working",
+                   "rm-2": "prepared", "rm-3": "working"}),
+     list(rm_names(4))),
+], ids=["field", "whole-record"])
+def test_key_frames_pin_the_key_to_the_fields_an_entry_writes(
+        monkeypatch, update, pinned):
+    spec = build_twophase_spec(rm_names(4))
+    cfg = ExplorerConfig()
+    fired = []
+
+    def counting_step(spec, state, name, values):
+        fired.append((name, values[0].text if values else None))
+        return step(spec, state, name, values)
+
+    def fired_rms():
+        return sorted({r for name, r in fired if name.startswith("RM")})
+
+    monkeypatch.setattr("tracecheck.explorer.step", counting_step)
+    e = entry(1, {"rmState": update})
+    full, _ = match_entry(spec, spec.init[0], e, cfg)
+    assert fired_rms() == list(rm_names(4))
+    fired.clear()
+    pruned, _ = match_entry(spec, spec.init[0], e, cfg, prune=True)
+    assert fired_rms() == pinned
+    assert [(m.name, m.values) for m in pruned] == \
+        [(m.name, m.values) for m in full] == [("RMPrepare", (VStr("rm-2"),))]
+
+
 def test_eventless_entry_may_be_a_composed_action():
     # x goes 0 -> 2 in one entry: no single action does that, AB does.
     spec = stage_spec()

@@ -1,7 +1,9 @@
 """State-machine layer: guards, effects, composition, exploration."""
 
+import dataclasses
+
 import pytest
-from oracle import explore
+from oracle import assert_declarations_hold, explore, oracle_validate
 
 from tracecheck import (
     ActionSchema,
@@ -10,13 +12,16 @@ from tracecheck import (
     GuardFailed,
     Spec,
     SpecState,
+    Trace,
     TraceEntry,
+    UpdateOp,
     match_entry,
     step,
+    validate,
 )
 from tracecheck.protocols import (build_tokenring_spec, build_twophase_spec,
                                   rm_names)
-from tracecheck.values import VInt, VSet, VStr, mk
+from tracecheck.values import VInt, VRec, VSet, VStr, mk
 
 
 def counter_spec(limit=3):
@@ -133,6 +138,93 @@ def test_bundled_specs_declare_every_frame(spec):
     # Firing every enabled action in every reachable state would raise
     # if an effect bound a variable outside its declared frame.
     explore(spec)
+
+
+def _keyed(keys, writes=None):
+    return ActionSchema("Set", (("k", (VStr("a"),)),), (),
+                        lambda s, p: [], writes=writes, keys=keys)
+
+
+@pytest.mark.parametrize("keys, writes, message", [
+    ({"rec": "j"}, None, "names no parameter: 'j'"),
+    ((("rec", "k"), ("rec", "k")), None, "declared twice"),
+    ({"rec": "k"}, frozenset({"other"}), "outside its frame"),
+], ids=["unknown-parameter", "repeated-variable", "outside-frame"])
+def test_malformed_key_frame_is_refused(keys, writes, message):
+    with pytest.raises(ValueError, match=message):
+        _keyed(keys, writes)
+
+
+def test_key_frames_accept_a_mapping_or_pairs():
+    assert _keyed({"rec": "k"}).keys == _keyed([("rec", "k")]).keys \
+        == (("rec", "k"),)
+
+
+@pytest.mark.parametrize("spec", [
+    *(build_twophase_spec(rm_names(n)) for n in (2, 3, 4)),
+    *(build_tokenring_spec(n) for n in (2, 3, 4, 5))],
+    ids=[*(f"twophase-{n}" for n in (2, 3, 4)),
+         *(f"tokenring-{n}" for n in (2, 3, 4, 5))])
+def test_bundled_specs_keep_their_declarations(spec):
+    assert_declarations_hold(spec)
+
+
+def wrong_key_spec():
+    """Set(k) writes the field of rec that k does not name, although it
+    declares k as its key."""
+    other = {"a": "b", "b": "a"}
+    return Spec(
+        variables=("rec",),
+        init=[SpecState({"rec": VRec([("a", VInt(0)), ("b", VInt(0))])})],
+        actions=[ActionSchema(
+            "Set", (("k", (VStr("a"), VStr("b"))),), (),
+            lambda s, p: [{"rec": s["rec"].replaced(other[p["k"].text],
+                                                     VInt(1))}],
+            writes=frozenset({"rec"}), keys={"rec": "k"})])
+
+
+def test_audit_catches_a_wrong_key_frame():
+    with pytest.raises(AssertionError, match="not only at its key field"):
+        assert_declarations_hold(wrong_key_spec())
+
+
+def test_a_wrong_key_frame_can_only_turn_acceptance_into_rejection():
+    # Set(a) writes rec.b, so the trace is a behavior of the spec; the
+    # search trusts the key and fires only Set(b), which writes rec.a.
+    spec = wrong_key_spec()
+    trace = Trace([TraceEntry(clock=1, updates={"rec": (
+        UpdateOp("Update", ("b",), (VInt(1),)),)})])
+    assert oracle_validate(spec, trace)
+    assert not validate(spec, trace).accepted
+
+
+def pick_fin_spec():
+    """Fin tells "a" from "b", so renaming them does not map steps to
+    steps, though the initial state holds neither name."""
+    return Spec(
+        variables=("s",),
+        init=[SpecState({"s": VStr("none")})],
+        actions=[
+            ActionSchema("Pick", (("n", (VStr("b"), VStr("a"))),),
+                         (GuardClause('s = "none"',
+                                      lambda s, p: s["s"] == VStr("none")),),
+                         lambda s, p: [{"s": p["n"]}]),
+            ActionSchema("Fin", (),
+                         (GuardClause('s = "a"',
+                                      lambda s, p: s["s"] == VStr("a")),),
+                         lambda s, p: [{"s": VStr("done")}])],
+        symmetric=("a", "b"))
+
+
+@pytest.mark.parametrize("spec", [
+    pick_fin_spec(),
+    # TMCommit writes the string "done", which renaming the RMs moves.
+    dataclasses.replace(build_twophase_spec(("done", "rm-1")),
+                        symmetric=("done", "rm-1"))],
+    ids=["pick-fin", "twophase-rm-named-done"])
+def test_audit_catches_a_wrong_symmetry_declaration(spec):
+    with pytest.raises(AssertionError, match="does not commute"):
+        assert_declarations_hold(spec)
 
 
 def test_empty_effect_is_an_error():

@@ -249,23 +249,27 @@ _PRUNE_LEVELS = ("v", "vpea", "vea", "e")
 def seeded_runs():
     """(spec, trace, composition) of faithful and buggy twophase and
     tokenring runs at every level that records variables, and at e.
-    The faithful twophase runs log a resend as a stutter entry."""
+    The faithful twophase runs log a resend as a stutter entry.  Runs
+    of 4 RMs and 5 nodes at the event-less levels give key frames
+    several candidates to cut."""
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         for level in _PRUNE_LEVELS:
-            for seed, bug in enumerate((None, "counter")):
-                res = run_twophase(TwoPhaseConfig(
-                    rms=rm_names(2), seed=seed, record=level, bug=bug,
-                    force_resend=True,
-                    resend_logging="silent" if bug else "stutter"),
-                    os.path.join(tmp, f"2pc-{level}-{seed}"))
-                runs.append((res.spec, res.trace, res.composition))
-            for seed, bug in enumerate((None, "self-message",
-                                        "eternal-token")):
-                res = run_tokenring(TokenRingConfig(
-                    n=3, seed=seed, record=level, bug=bug),
-                    os.path.join(tmp, f"ring-{level}-{seed}"))
-                runs.append((res.spec, res.trace, res.composition))
+            for rms, ring in ((2, 3), (4, 5)) if level in ("v", "vpea") \
+                    else ((2, 3),):
+                for seed, bug in enumerate((None, "counter")):
+                    res = run_twophase(TwoPhaseConfig(
+                        rms=rm_names(rms), seed=seed, record=level, bug=bug,
+                        force_resend=True,
+                        resend_logging="silent" if bug else "stutter"),
+                        os.path.join(tmp, f"2pc-{rms}-{level}-{seed}"))
+                    runs.append((res.spec, res.trace, res.composition))
+                for seed, bug in enumerate((None, "self-message",
+                                            "eternal-token")):
+                    res = run_tokenring(TokenRingConfig(
+                        n=ring, seed=seed, record=level, bug=bug),
+                        os.path.join(tmp, f"ring-{ring}-{level}-{seed}"))
+                    runs.append((res.spec, res.trace, res.composition))
     return runs
 
 

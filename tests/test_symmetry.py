@@ -11,17 +11,15 @@ states the unreduced search also reports.
 import contextlib
 import dataclasses
 import io
-import itertools
 import random
 
 import pytest
 from oracle import (explore, free_names, oracle_validate, renamed,
                     renamed_state, renamings)
 
-from tracecheck import (ExplorerConfig, GuardFailed, Spec, SpecState,
-                        TraceEntry, UpdateOp, VBag, VInt, VRec, VSeq, VSet,
-                        VStr, explain, explored_dot, match_entry, mk, step,
-                        validate)
+from tracecheck import (ExplorerConfig, Spec, SpecState, TraceEntry, UpdateOp,
+                        VBag, VInt, VRec, VSeq, VSet, VStr, explain,
+                        explored_dot, match_entry, mk, validate)
 from tracecheck.cli import main
 from tracecheck.protocols import (TwoPhaseConfig, build_twophase_spec,
                                   rm_names, run_twophase)
@@ -98,32 +96,6 @@ def test_twophase_with_an_rm_named_working_validates_as_unreduced(tmp_path):
                              "--trace", str(res.out_dir / "merged.ndjson")])
             assert code == (0 if bug is None else 1)
             assert out.getvalue().startswith(explain(want, res.trace))
-
-
-def test_twophase_steps_commute_with_swapping_two_rms():
-    """For every reachable state and every swap of two RMs, firing an
-    action on the swapped state with swapped arguments gives the swapped
-    successors."""
-    spec = build_twophase_spec(rm_names(3))
-    states, _ = explore(spec)
-
-    def successors(state, action, values, names=None):
-        try:
-            outs = step(spec, state, action, values)
-        except GuardFailed:
-            return None
-        return {(renamed_state(t, names) if names else t).fingerprint()
-                for t in outs}
-
-    for a, b in itertools.combinations(rm_names(3), 2):
-        swap = {a: b, b: a}
-        for s in states:
-            for schema in spec.actions:
-                for values in schema.valuations():
-                    moved = tuple(renamed(v, swap) for v in values)
-                    assert successors(renamed_state(s, swap), schema.name,
-                                      moved) == \
-                        successors(s, schema.name, values, swap)
 
 
 def _random_value(rng, depth=3):
