@@ -6,9 +6,9 @@ the explorer then searches the spec's constrained state space for a
 behavior that explains the whole trace.
 """
 
-from .errors import (BagUnderflow, GuardFailed, MissingClock, OpTypeError,
-                     ParseError, PathError, SchemaError, SimDeadlock,
-                     TracecheckError, UnknownOp)
+from .errors import (BagUnderflow, MissingClock, OpTypeError, ParseError,
+                     PathError, SchemaError, SimDeadlock, TracecheckError,
+                     UnknownOp)
 from .explorer import (STUTTER, Attempt, ExplorerConfig, FailureReport,
                        Match, Verdict, explain, explored_dot, match_entry,
                        validate)
@@ -29,8 +29,7 @@ __all__ = [
     "__version__",
     # errors
     "TracecheckError", "PathError", "OpTypeError", "BagUnderflow",
-    "UnknownOp", "ParseError", "SchemaError", "MissingClock", "GuardFailed",
-    "SimDeadlock",
+    "UnknownOp", "ParseError", "SchemaError", "MissingClock", "SimDeadlock",
     # values
     "Value", "VStr", "VInt", "VBool", "VSeq", "VSet", "VBag", "VRec",
     "UpdateOp", "mk", "apply_update", "apply_entry_updates",

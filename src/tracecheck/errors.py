@@ -47,21 +47,5 @@ class MissingClock(TracecheckError):
     """log() was called without a clock value on an explicit-clock tracer."""
 
 
-class GuardFailed(TracecheckError):
-    """An action was stepped in a state where its guard is false.
-
-    The search refuses many instances and prints few, so the message is
-    rendered only when asked for.
-    """
-
-    def __init__(self, action: str, description: str):
-        super().__init__(action, description)
-        self.action = action
-        self.description = description
-
-    def __str__(self) -> str:
-        return f"{self.action}: guard failed: {self.description}"
-
-
 class SimDeadlock(TracecheckError):
     """A simulated run stopped making progress before completing."""

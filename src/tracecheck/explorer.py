@@ -38,8 +38,9 @@ only the state, the shape and the validation's fixed work, never the
 entry's clock or the node's line, so the matches of (fingerprint,
 shape) are the same at every line, and ``validate`` keeps them in a
 memo that lives for the one call.  Each successor state is interned
-by fingerprint: every node and memo entry holding an equal state holds
-the same ``SpecState``, so the memo adds references, not states.
+by fingerprint before its match is built: every node and memo entry
+holding an equal state holds the same ``SpecState``, so the memo adds
+references, not states.
 
 A line whose shape occurs once in the trace is never matched twice from
 one state, so its matches skip the memo (their states are still
@@ -83,9 +84,12 @@ entry's paths for v.  A wrong key can only drop a match, so it can only
 turn an acceptance into a rejection.
 
 The search builds no ``Attempt``: it keeps only the ids of dead nodes.
+A disabled action instance has no successors (``step`` returns none),
+so the search moves on without asking which guard clause is false.
 The attempts that explain a rejection are built afterwards, by matching
 again without pruning, for the dead nodes at the deepest entry, the
-only ones a verdict reports.  An attempt holds plain facts; its text is
+only ones a verdict reports; only then is each disabled instance's
+false clause looked up.  An attempt holds plain facts; its text is
 rendered only when a report reads it.
 """
 
@@ -95,7 +99,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import GuardFailed, TracecheckError
+from .errors import TracecheckError
 from .machine import ActionSchema, Spec, SpecState, step
 from .symmetry import Orbits, line_orbits
 from .traces import Trace, TraceEntry, serialize_entry
@@ -165,7 +169,8 @@ class _Compiled:
     """What stays fixed for one validation, worked out once: the steps
     each kind of entry may stand for, with their frames (the
     composition map checked), and each action's valuations with the
-    event-arg strings they render as.
+    event-arg strings they render as.  It also keeps the states the
+    validation reaches, interned by fingerprint (``interned``).
 
     An entry with an event may be only the step of that name
     (``by_event``, name -> step; a composed action wins over an action
@@ -192,6 +197,7 @@ class _Compiled:
         self._pinned: dict[tuple[str, tuple[str, ...]],
                            list[tuple[Value, ...]]] = {}
         self._keyed: dict[tuple[str, tuple], list[tuple[Value, ...]]] = {}
+        self.interned: dict[tuple, SpecState] = {}
 
     def valuations(self, schema: ActionSchema,
                    event_args: Sequence[str] | None = None
@@ -430,11 +436,8 @@ def _chain_matches(spec: Spec, state: SpecState,
         extended = []
         for s, used in outcomes:
             for vals in compiled.valuations(schema, pinned):
-                try:
-                    outs = step(spec, s, schema.name, vals)
-                except GuardFailed:
-                    continue
-                extended.extend((t, used + (vals,)) for t in outs)
+                extended.extend((t, used + (vals,))
+                                for t in step(spec, s, schema.name, vals))
         if not extended:
             return [], idx
         outcomes = extended
@@ -501,6 +504,7 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
     matches: list[Match] = []
     attempts: list[Attempt] = []
     seen: set[tuple] = set()
+    interned = compiled.interned
 
     def keep_agreeing(name: str, values: tuple[Value, ...] | None,
                       outs: Iterable[tuple[SpecState, tuple | None]]
@@ -520,7 +524,8 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
             fp = t.fingerprint()
             if fp not in seen:
                 seen.add(fp)
-                matches.append(Match(t, name, values or (), used))
+                matches.append(Match(interned.setdefault(fp, t), name,
+                                     values or (), used))
         if not prune and not kept and miss is not None:
             var, want, got = miss
             attempts.append(Attempt(name, "UpdateMismatch", values,
@@ -538,14 +543,14 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
                 valuations = compiled.keyed(
                     stages[0], _key_pins(stages[0], entry, changed))
             for vals in valuations:
-                try:
-                    outs = step(spec, state, name, vals)
-                except GuardFailed as exc:
-                    if not prune:
-                        attempts.append(Attempt(name, "GuardFailed", vals,
-                                                cause=exc.description))
-                    continue
-                keep_agreeing(name, vals, [(t, None) for t in outs])
+                outs = step(spec, state, name, vals)
+                if outs:
+                    keep_agreeing(name, vals, [(t, None) for t in outs])
+                elif not prune:
+                    clause = stages[0].failing_clause(state,
+                                                      stages[0].bind(vals))
+                    attempts.append(Attempt(name, "GuardFailed", vals,
+                                            cause=clause.description))
             if not prune and not valuations and entry.event is not None:
                 attempts.append(Attempt(name, "NoCandidateAction",
                                         event_args=tuple(event_args or ())))
@@ -563,19 +568,6 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
     if not prune and not matches and not attempts:
         attempts.append(Attempt("(none)", "NoCandidateAction"))
     return matches, attempts
-
-
-def _interned_matches(matches: list[Match],
-                      interned: dict[tuple, SpecState]) -> tuple[Match, ...]:
-    """The matches, each state replaced by the one ``interned`` already
-    keeps for its fingerprint (or kept there as the first)."""
-    out = []
-    for m in matches:
-        kept = interned.setdefault(m.state.fingerprint(), m.state)
-        if kept is not m.state:
-            m = Match(kept, m.name, m.values, m.stage_values)
-        out.append(m)
-    return tuple(out)
 
 
 def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
@@ -607,10 +599,8 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
     for shape in shapes:
         uses[shape] += 1
     repeated = [uses[shape] > 1 for shape in shapes]
-    # (state fingerprint, shape id) -> the pruned matches; fingerprint
-    # -> the one state kept.
-    memo: dict[tuple[tuple, int] | None, tuple[Match, ...]] = {}
-    interned: dict[tuple, SpecState] = {}
+    # (state fingerprint, shape id) -> the pruned matches.
+    memo: dict[tuple[tuple, int] | None, list[Match]] = {}
 
     states: list[SpecState] = []         # node id -> state
     lines: list[int] = []                # node id -> line (1-based)
@@ -668,7 +658,8 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
         if key in ids or (symmetric and first[1] >= 0
                           and merged(s, 1) is not None):
             continue
-        frontier.append(add(key, interned.setdefault(fp, s), 1, None))
+        frontier.append(add(key, compiled.interned.setdefault(fp, s), 1,
+                            None))
 
     bfs = cfg.search == "bfs"
     cursor = 0                           # BFS reads frontier as a queue
@@ -697,9 +688,8 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
                     if repeated[line - 1] else None)
         matches = memo.get(memo_key)
         if matches is None:
-            matches = _interned_matches(
-                match_entry(spec, state, trace[line - 1], cfg, compiled,
-                            prune=True)[0], interned)
+            matches = match_entry(spec, state, trace[line - 1], cfg,
+                                  compiled, prune=True)[0]
             if memo_key is not None:
                 memo[memo_key] = matches
         if not matches:

@@ -23,9 +23,11 @@ steps.  The trace explorer then merges search nodes whose states
 differ only by such a renaming.  ``Spec`` refuses a declaration whose
 initial states are not closed under the renamings.
 
-Guards are lists of named clauses; the first false clause's
-description is reported when a step is refused, which is what the
-trace explorer surfaces in its diagnostics.
+Guards are lists of named clauses.  An instance whose guard is false
+is disabled and has no successors, as in TLA+, where an action is
+enabled exactly when it has a successor state, so ``step`` returns
+none for it.  ``ActionSchema.failing_clause`` names the first false
+clause; the trace explorer asks for it only when it reports a rejection.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import GuardFailed
 from .values import Value, renamed_canonical, value_to_json
 
 
@@ -279,19 +280,19 @@ def _complete(spec: Spec, schema: ActionSchema, pre: SpecState,
 
 def step(spec: Spec, state: SpecState, action_name: str,
          values: Sequence[Value]) -> list[SpecState]:
-    """All successors of firing one action instance.
+    """All successors of firing one action instance: none when the
+    instance is disabled (``ActionSchema.failing_clause`` names the
+    false clause).
 
-    Raises GuardFailed (with the failing clause's description) when the
-    instance is not enabled, and ValueError when the effect binds a
-    variable the spec does not declare or the action's frame leaves out.
+    Raises ValueError when the effect binds a variable the spec does
+    not declare or the action's frame leaves out.
     """
     schema = spec.action(action_name)
     if schema is None:
         raise KeyError(f"no action named {action_name!r}")
     params = schema.bind(values)
-    clause = schema.failing_clause(state, params)
-    if clause is not None:
-        raise GuardFailed(action_name, clause.description)
+    if schema.failing_clause(state, params) is not None:
+        return []
     partials = schema.effect(state, params)
     if not partials:
         raise ValueError(

@@ -231,9 +231,16 @@ class VBag(Value):
 
 
 class VRec(Value):
-    """Record / finite function with string keys, kept in key order."""
+    """Record / finite function with string keys, kept in key order.
 
-    __slots__ = ("fields",)
+    ``replaced`` on a record whose canonical bytes are cached splices
+    the new field's bytes into them instead of rendering every field
+    again.  It keeps where each field's value starts in those bytes
+    (``_starts``) on both records, so a chain of replacements works
+    each one out at most once.
+    """
+
+    __slots__ = ("fields", "_starts")
 
     def __init__(self, fields: Iterable[tuple[str, Value]] = ()):
         items = list(fields)
@@ -245,6 +252,7 @@ class VRec(Value):
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate record key")
         self._canon = None
+        self._starts = None
         self.fields = tuple(sorted(items, key=lambda kv: kv[0]))
 
     def _render(self) -> bytes:
@@ -254,11 +262,24 @@ class VRec(Value):
             parts.append(b"k%d:%s=%s" % (len(raw), raw, v.canonical()))
         return b"R{" + b"".join(parts) + b"}"
 
+    def _value_starts(self) -> tuple[int, ...]:
+        """Where each field's value starts in the cached canonical
+        bytes, worked out from the fields' cached bytes."""
+        starts = []
+        at = 2
+        for k, v in self.fields:
+            raw = k.encode("utf-8")
+            at += len(b"k%d:%s=" % (len(raw), raw))
+            starts.append(at)
+            at += len(v._canon)
+        return tuple(starts)
+
     @classmethod
     def _of_sorted(cls, fields: tuple[tuple[str, Value], ...]) -> "VRec":
         """Wrap fields already in key order, with distinct keys."""
         out = object.__new__(cls)
         out._canon = None
+        out._starts = None
         out.fields = fields
         return out
 
@@ -279,8 +300,23 @@ class VRec(Value):
         i = bisect_left(fields, key, key=_field_key)
         if i == len(fields) or fields[i][0] != key:
             raise KeyError(key)
-        return VRec._of_sorted(
+        out = VRec._of_sorted(
             fields[:i] + ((key, _require_value(value)),) + fields[i + 1:])
+        canon = self._canon
+        if canon is not None:
+            # Cached bytes were rendered or spliced from the fields'
+            # cached bytes, so the old field's bytes are cached too.
+            starts = self._starts
+            if starts is None:
+                starts = self._starts = self._value_starts()
+            at = starts[i]
+            end = at + len(fields[i][1]._canon)
+            new = value.canonical()
+            out._canon = canon[:at] + new + canon[end:]
+            shift = len(new) - (end - at)
+            out._starts = starts if not shift else starts[:i + 1] + tuple(
+                [s + shift for s in starts[i + 1:]])
+        return out
 
     def __getitem__(self, key: str) -> Value:
         v = self.get(key)

@@ -22,10 +22,10 @@ from __future__ import annotations
 import itertools
 import json
 
-from tracecheck import (GuardFailed, Spec, SpecState, Trace,
-                        TracecheckError, Value, VBag, VRec, VSeq, VSet, VStr,
-                        apply_entry_updates, render_event_arg, step,
-                        value_to_json, value_to_jsonable)
+from tracecheck import (Spec, SpecState, Trace, TracecheckError, Value,
+                        VBag, VRec, VSeq, VSet, VStr, apply_entry_updates,
+                        render_event_arg, step, value_to_json,
+                        value_to_jsonable)
 from tracecheck.explorer import ExplorerConfig, _check_composition
 
 
@@ -80,11 +80,8 @@ def oracle_validate(spec: Spec, trace: Trace,
             for vals in spec.action(stages[k]).valuations():
                 if k == 0 and not arg_prefix_ok(vals, pinned):
                     continue
-                try:
-                    outs = step(spec, s2, stages[k], vals)
-                except GuardFailed:
-                    continue
-                if any(chain(t, stages, k + 1) for t in outs):
+                if any(chain(t, stages, k + 1)
+                       for t in step(spec, s2, stages[k], vals)):
                     return True
             return False
 
@@ -122,11 +119,7 @@ def explore(spec: Spec, max_states: int = 10_000
         s = states[cursor]
         for schema in spec.actions:
             for values in schema.valuations():
-                try:
-                    outs = step(spec, s, schema.name, values)
-                except GuardFailed:
-                    continue
-                for t in outs:
+                for t in step(spec, s, schema.name, values):
                     fp = t.fingerprint()
                     if fp not in index:
                         if len(states) >= max_states:
@@ -212,7 +205,7 @@ def assert_declarations_hold(spec: Spec) -> None:
     - Key frames: each successor keeps a keyed record's fields and
       changes it at most at the field its key parameter renders as.
     - Symmetry: firing on a renamed state with renamed arguments gives
-      the renamed successors (or fails the guard on both sides), for a
+      the renamed successors (none on both sides when disabled), for a
       swap of the first two ``symmetric`` names and a rotation of all
       of them, which generate every permutation.
 
@@ -224,13 +217,6 @@ def assert_declarations_hold(spec: Spec) -> None:
              dict(zip(names, names[1:] + names[:1]))] if len(names) > 1 \
         else []
 
-    def successors(state: SpecState, action: str,
-                   values: tuple[Value, ...]) -> list[SpecState] | None:
-        try:
-            return step(spec, state, action, values)
-        except GuardFailed:
-            return None
-
     for s in states:
         shifted = [(move, renamed_state(s, move)) for move in moves]
         for schema in spec.actions:
@@ -238,10 +224,10 @@ def assert_declarations_hold(spec: Spec) -> None:
             for values in schema.valuations():
                 label = (f"{schema.name}("
                          f"{', '.join(map(render_event_arg, values))})")
-                outs = successors(s, schema.name, values)
+                outs = step(spec, s, schema.name, values)
                 for var, param in schema.keys:
                     key = render_event_arg(values[positions[param]])
-                    for t in outs or ():
+                    for t in outs:
                         pre, post = s[var], t[var]
                         same_fields = isinstance(pre, VRec) and \
                             isinstance(post, VRec) and \
@@ -253,12 +239,9 @@ def assert_declarations_hold(spec: Spec) -> None:
                             f"{value_to_json(pre)} -> {value_to_json(post)}, "
                             f"not only at its key field {key!r}")
                 for move, s_moved in shifted:
-                    moved = successors(s_moved, schema.name,
-                                       tuple(renamed(v, move)
-                                             for v in values))
-                    want = None if outs is None else {
-                        renamed_state(t, move) for t in outs}
-                    got = None if moved is None else set(moved)
-                    assert got == want, (
+                    moved = step(spec, s_moved, schema.name,
+                                 tuple(renamed(v, move) for v in values))
+                    want = {renamed_state(t, move) for t in outs}
+                    assert set(moved) == want, (
                         f"{label} from {s.describe()} does not commute "
                         f"with renaming {move}")

@@ -786,6 +786,35 @@ def test_every_node_state_is_one_shared_object(tmp_path):
     assert len({id(s) for s in verdict.states}) == len(fingerprints)
 
 
+@pytest.mark.parametrize("level", ["e", "v"])
+def test_equal_states_of_a_verdict_are_one_object(tmp_path, level):
+    # Nodes and witness steps that hold equal states hold the same one,
+    # under either search order and whether the trace is accepted.
+    runs = [run_twophase(TwoPhaseConfig(rms=rm_names(3), seed=seed,
+                                        record=level, bug=bug,
+                                        force_resend=bug is not None,
+                                        resend_logging="silent"),
+                         tmp_path / f"tp-{seed}-{bug}")
+            for seed, bug in ((0, None), (1, "counter"))]
+    runs += [run_tokenring(TokenRingConfig(n=4, seed=seed, record=level,
+                                           bug=bug),
+                           tmp_path / f"tr-{seed}-{bug}")
+             for seed, bug in ((0, None), (1, "self-message"))]
+    shared = 0
+    for res in runs:
+        for search in ("bfs", "dfs"):
+            verdict = validate(res.spec, res.trace, ExplorerConfig(
+                search=search, allow_stutter=level == "v",
+                composition=res.composition))
+            states = verdict.states + [m.state
+                                       for m in verdict.witness or ()]
+            kept = {}
+            for s in states:
+                assert kept.setdefault(s.fingerprint(), s) is s
+            shared += len(states) - len(kept)
+    assert shared > 0
+
+
 # Prints one validation's verdict and graph, in a process of its own.
 _FRESH_VALIDATION = """
 import json, sys

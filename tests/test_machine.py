@@ -9,7 +9,6 @@ from tracecheck import (
     ActionSchema,
     ExplorerConfig,
     GuardClause,
-    GuardFailed,
     Spec,
     SpecState,
     Trace,
@@ -92,9 +91,28 @@ def test_step_applies_effect_and_copies_unbound_variables():
 
 def test_step_reports_the_failing_clause():
     spec = counter_spec(limit=0)
-    with pytest.raises(GuardFailed) as exc:
-        step(spec, spec.init[0], "Inc", ())
-    assert "x < limit" in str(exc.value)
+    assert step(spec, spec.init[0], "Inc", ()) == []
+    inc = spec.action("Inc")
+    clause = inc.failing_clause(spec.init[0], inc.bind(()))
+    assert clause.description == "x < limit"
+
+
+@pytest.mark.parametrize("spec", [build_twophase_spec(rm_names(3)),
+                                  build_tokenring_spec(4)],
+                         ids=["twophase-3", "tokenring-4"])
+def test_a_disabled_instance_has_no_successors(spec):
+    # An instance has successors exactly where no guard clause fails.
+    states, _ = explore(spec)
+    seen = set()
+    for s in states:
+        for schema in spec.actions:
+            for vals in schema.valuations():
+                clause = schema.failing_clause(s, schema.bind(vals))
+                outs = step(spec, s, schema.name, vals)
+                assert (outs == []) == (clause is not None), \
+                    (s.describe(), schema.name, vals)
+                seen.add(clause is None)
+    assert seen == {True, False}
 
 
 def test_step_rejects_unknown_action():

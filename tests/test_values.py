@@ -272,6 +272,48 @@ def test_empty_fold_is_identity():
     assert apply_entry_updates(v, ()) == v
 
 
+# --- splicing one field into a record's bytes ---------------------------
+
+# Multi-byte UTF-8 keys (a key head's length counts bytes), and keys
+# whose heads, such as b"k4:rm-1=", also turn up inside field values.
+_SPLICE_KEYS = ("a", "k4", "rm-1", "rm-10", "é", "世界", "z")
+
+
+def _splice_value(rng: random.Random, depth: int = 2):
+    roll = rng.random()
+    if roll < 0.15:
+        return VStr(rng.choice(("k4:rm-1=", "R{k4:rm-1=s0:}", "é=")))
+    if roll < 0.35 and depth > 0:
+        return _splice_record(rng, depth - 1)
+    return gen_value(rng, depth)
+
+
+def _splice_record(rng: random.Random, depth: int = 2) -> VRec:
+    keys = rng.sample(_SPLICE_KEYS, rng.randint(1, 5))
+    return VRec([(k, _splice_value(rng, depth)) for k in keys])
+
+
+def test_replaced_record_bytes_equal_rendered_bytes():
+    rng = random.Random(1717)
+    for _ in range(400):
+        fields = _splice_record(rng).fields
+        n = len(fields)
+        for cached in (False, True):
+            rec = VRec(fields)
+            if cached:
+                rec.canonical()
+            # The first, a middle and the last field, replaced in turn
+            # on the record the previous replacement gave.
+            for i in (0, n // 2, n - 1):
+                key = fields[i][0]
+                new = _splice_value(rng)
+                want = VRec([(k, new if k == key else v)
+                             for k, v in rec.fields]).canonical()
+                rec = rec.replaced(key, new)
+                assert rec.canonical() == want
+                assert rec[key] is new
+
+
 # --- the bulk generated-value suite ------------------------------------
 
 def test_thousand_generated_values_hold_core_properties():
