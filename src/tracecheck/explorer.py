@@ -65,7 +65,11 @@ attempts and DOT labels are states of the unreduced search, reached
 through the trace's own prefix; only a merged edge points at a node
 whose state equals its step's up to π.  The goal line is never reduced.
 Nothing is renamed until a line holds a second node, and the free
-names are worked out only then.
+names are worked out only then.  Orbit keys are filed in the dedup
+table beside fingerprints: a state's orbit key is the fingerprint of
+a renaming of it (``symmetry.Orbits``), and that renaming's own key is
+the same fingerprint, so a key and a fingerprint are equal only for
+states of one orbit.
 
 The search needs only each node's matches.  It skips every step whose
 frame leaves out a recorded variable the entry changes (such a step
@@ -103,7 +107,7 @@ from .errors import TracecheckError
 from .machine import ActionSchema, Spec, SpecState, step
 from .symmetry import Orbits, line_orbits
 from .traces import Trace, TraceEntry, serialize_entry
-from .values import (Value, apply_entry_updates, render_event_arg,
+from .values import (Value, VSet, apply_entry_updates, render_event_arg,
                      value_to_json)
 
 STUTTER = "(stutter)"
@@ -194,42 +198,29 @@ class _Compiled:
             vals = list(schema.valuations())
             self._domains[schema.name] = (
                 vals, [tuple(map(render_event_arg, v)) for v in vals])
-        self._pinned: dict[tuple[str, tuple[str, ...]],
-                           list[tuple[Value, ...]]] = {}
-        self._keyed: dict[tuple[str, tuple], list[tuple[Value, ...]]] = {}
+        self._pinned: dict[tuple, list[tuple[Value, ...]]] = {}
         self.interned: dict[tuple, SpecState] = {}
 
     def valuations(self, schema: ActionSchema,
-                   event_args: Sequence[str] | None = None
+                   event_args: Sequence[str] | None = None,
+                   keys: tuple[tuple[int, tuple[str, ...]], ...] = ()
                    ) -> list[tuple[Value, ...]]:
         """The schema's valuations in domain product order, keeping
-        those whose leading parameters render as ``event_args``."""
+        those whose leading parameters render as ``event_args`` and
+        whose parameter at each (position, fields) in ``keys`` renders
+        as one of ``fields``."""
         vals, rendered = self._domains[schema.name]
-        if not event_args:
+        if not event_args and not keys:
             return vals
-        key = (schema.name, tuple(event_args))
+        args = tuple(event_args or ())
+        key = (schema.name, args, keys)
         pinned = self._pinned.get(key)
         if pinned is None:
-            n = len(key[1])
+            n = len(args)
             pinned = self._pinned[key] = [
-                v for v, text in zip(vals, rendered) if text[:n] == key[1]]
-        return pinned
-
-    def keyed(self, schema: ActionSchema,
-              keys: tuple[tuple[int, tuple[str, ...]], ...]
-              ) -> list[tuple[Value, ...]]:
-        """The schema's valuations in domain product order, keeping
-        those whose parameter at each (position, fields) in ``keys``
-        renders as one of ``fields``."""
-        vals, rendered = self._domains[schema.name]
-        if not keys:
-            return vals
-        key = (schema.name, keys)
-        pinned = self._keyed.get(key)
-        if pinned is None:
-            pinned = self._keyed[key] = [
                 v for v, text in zip(vals, rendered)
-                if all(text[i] in fields for i, fields in keys)]
+                if text[:n] == args
+                and all(text[i] in fields for i, fields in keys)]
         return pinned
 
 
@@ -536,12 +527,12 @@ def match_entry(spec: Spec, state: SpecState, entry: TraceEntry,
             continue
         if len(stages) == 1:
             # An action: each valuation is a candidate of its own.
-            valuations = compiled.valuations(stages[0], event_args)
-            if changed and not event_args and stages[0].key_positions:
-                # An action keyed on a changed variable can match only
-                # with its key at a field the entry's updates of it write.
-                valuations = compiled.keyed(
-                    stages[0], _key_pins(stages[0], entry, changed))
+            # An action keyed on a changed variable can match only with
+            # its key at a field the entry's updates of it write.
+            keys = (_key_pins(stages[0], entry, changed)
+                    if changed and not event_args and stages[0].key_positions
+                    else ())
+            valuations = compiled.valuations(stages[0], event_args, keys)
             for vals in valuations:
                 outs = step(spec, state, name, vals)
                 if outs:
@@ -604,86 +595,89 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
 
     states: list[SpecState] = []         # node id -> state
     lines: list[int] = []                # node id -> line (1-based)
+    # (fingerprint or orbit key, line) -> node: see the module docstring.
     ids: dict[tuple[tuple, int], int] = {}
     parent: list[tuple[int, Match] | None] = []
     edges: list[tuple[int, str, tuple[Value, ...], int]] = []
     dead: list[int] = []                 # nodes no step could leave
+    goal: int | None = None
 
-    # Symmetry reduction.  first: line -> its first node (-1 while it
-    # has none).  Orbit keys are taken only at a line's second node:
-    # ``orbits`` (line -> its orbit keys, None where nothing merges) is
-    # worked out then, once, and the line's first node is filed under
-    # its key in ``orbit_ids``: (orbit key, line) -> node.
+    # Symmetry reduction.  Orbit keys are taken only at a line's second
+    # node: ``orbits`` (line -> its orbit keys, None where nothing
+    # merges) is worked out then, once, and the line's first node is
+    # filed under its key.  first: line -> its first node until then
+    # (-1 while the line has none, None once it is keyed).
     symmetric = len(spec.symmetric) > 1
-    first = [-1] * (length + 2)
+    first: list[int | None] = [-1] * (length + 2)
     orbits: list[Orbits | None] = []
-    orbit_ids: dict[tuple[tuple, int], int] = {}
-    keyed: set[int] = set()
 
-    def merged(state: SpecState, line: int) -> int | None:
-        """The node at ``line`` whose state renames to ``state``, which
-        equals no node there, though the line has one.  If there is
-        none, the id the next node will take is filed for ``state``:
-        the caller adds that node."""
-        if not orbits:
-            orbits.extend(line_orbits(spec, trace, shapes))
-        keys = orbits[line]
-        if keys is None:
+    def file(state: SpecState, line: int, via: tuple[int, Match] | None
+             ) -> int | None:
+        """The node ``state`` is filed under at ``line``: the node of an
+        equal state, else of a state that renames to it, else a new node
+        reached ``via`` (None for an initial state).  None when a new
+        node would exceed ``max_states``; initial states and the goal
+        line are exempt, since acceptance is definitive even at the
+        budget edge.  A node filed past the last entry is the goal."""
+        nonlocal goal
+        fp = state.fingerprint()
+        node = ids.get((fp, line))
+        if node is not None:
+            return node
+        keys = key = None
+        if symmetric and first[line] != -1:
+            if not orbits:
+                orbits.extend(line_orbits(spec, trace, shapes))
+            keys = orbits[line]
+        if keys is not None:
+            at = first[line]
+            if at is not None:
+                first[line] = None
+                ids[keys.key(states[at]), line] = at
+            key = keys.key(state)
+            node = ids.get((key, line))
+            if node is not None:
+                return node
+        if via is not None and line <= length \
+                and cfg.max_states is not None \
+                and len(states) >= cfg.max_states:
             return None
-        if line not in keyed:
-            keyed.add(line)
-            orbit_ids[keys.key(states[first[line]]), line] = first[line]
-        new = len(states)
-        node = orbit_ids.setdefault((keys.key(state), line), new)
-        if node == new:
-            return None
-        # Later arrivals of this state find the node directly.
-        ids[state.fingerprint(), line] = node
-        return node
-
-    def add(key: tuple[tuple, int], state: SpecState, line: int,
-            via: tuple[int, Match] | None) -> int:
-        nid = ids[key] = len(states)
-        if first[line] < 0:
+        nid = ids[fp, line] = len(states)
+        if key is not None:
+            ids[key, line] = nid
+        if first[line] == -1:
             first[line] = nid
         states.append(state)
         lines.append(line)
         parent.append(via)
+        if line > length:
+            goal = nid
         return nid
 
-    frontier: list[int] = []
     for s in spec.init:
-        fp = s.fingerprint()
-        key = (fp, 1)
-        if key in ids or (symmetric and first[1] >= 0
-                          and merged(s, 1) is not None):
-            continue
-        frontier.append(add(key, compiled.interned.setdefault(fp, s), 1,
-                            None))
+        file(compiled.interned.setdefault(s.fingerprint(), s), 1, None)
 
+    # BFS expands the nodes in the order they were filed, so their ids
+    # are its queue; DFS keeps a stack.
     bfs = cfg.search == "bfs"
-    cursor = 0                           # BFS reads frontier as a queue
-    goal: int | None = None
+    stack = [] if bfs else list(range(len(states)))
+    nid = -1
     budget_reason: str | None = None
 
-    while goal is None:
+    while goal is None and budget_reason is None:
         if bfs:
-            if cursor >= len(frontier):
+            nid += 1
+            if nid == len(states):
                 break
-            nid = frontier[cursor]
-            cursor += 1
+        elif stack:
+            nid = stack.pop()
         else:
-            if not frontier:
-                break
-            nid = frontier.pop()
+            break
         if cfg.max_seconds is not None \
                 and time.monotonic() - t0 > cfg.max_seconds:
             budget_reason = f"max_seconds={cfg.max_seconds} exceeded"
             break
         state, line = states[nid], lines[nid]
-        if line == length + 1:
-            goal = nid
-            break
         memo_key = ((state.fingerprint(), shapes[line - 1])
                     if repeated[line - 1] else None)
         matches = memo.get(memo_key)
@@ -695,32 +689,19 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
         if not matches:
             dead.append(nid)
             continue
-        succ_ids = []
+        known = len(states)
         for m in matches:
-            key = (m.state.fingerprint(), line + 1)
-            child = ids.get(key)
-            if child is None and symmetric and first[line + 1] >= 0:
-                child = merged(m.state, line + 1)
+            child = file(m.state, line + 1, (nid, m))
             if child is None:
-                # Acceptance is definitive even at the budget edge.
-                if line < length and cfg.max_states is not None \
-                        and len(states) >= cfg.max_states:
-                    budget_reason = f"max_states={cfg.max_states} exceeded"
-                    break
-                child = add(key, m.state, line + 1, (nid, m))
-                succ_ids.append(child)
-            edges.append((nid, m.name, m.values, child))
-            if line == length:
-                # A node past the last entry is reached only here, so
-                # the first one is the goal.
-                goal = child
+                budget_reason = f"max_states={cfg.max_states} exceeded"
                 break
-        if budget_reason is not None or goal is not None:
-            break
-        if bfs:
-            frontier.extend(succ_ids)
-        else:
-            frontier.extend(reversed(succ_ids))
+            edges.append((nid, m.name, m.values, child))
+            if goal is not None:
+                break
+        if not bfs:
+            # The nodes this expansion filed, last first, so that the
+            # first is expanded next.
+            stack.extend(range(len(states) - 1, known - 1, -1))
 
     consumed_max = max(lines) - 1 if lines else 0
     accepted = goal is not None
@@ -768,8 +749,6 @@ MAX_REPORTS = 5
 def _duplicate_add_hint(report: FailureReport, entry: TraceEntry) -> str | None:
     """Spot Add-of-present-element updates: the signature of a resent
     message logged as if it were a fresh step."""
-    from .values import VSet  # local to avoid a wide import
-
     for var, ops in entry.updates.items():
         if var not in report.state:
             continue

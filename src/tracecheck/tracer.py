@@ -20,13 +20,12 @@ updates survive for a retry.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from typing import Any, Sequence
 
 from .errors import MissingClock
-from .traces import RESERVED_KEYS, TraceEntry, entry_to_jsonable
+from .traces import RESERVED_KEYS, TraceEntry, serialize_entry
 from .values import UpdateOp, mk, render_event_arg
 
 TRACE_PATH_ENV = "TRACE_PATH"
@@ -152,9 +151,7 @@ class Tracer:
                 event=event,
                 event_args=rendered_args,
             )
-            obj = entry_to_jsonable(entry, var_order=list(updates))
-            line = json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
-            self._file.write(line + "\n")
+            self._file.write(serialize_entry(entry, list(updates)) + "\n")
             self._file.flush()
             # Reached only on a successful write: a failed write keeps
             # the buffer so the caller may retry.

@@ -201,12 +201,13 @@ def read_trace_file(path: str) -> Trace:
         return parse_ndjson(f.read())
 
 
-def entry_to_jsonable(entry: TraceEntry,
-                      var_order: Sequence[str] | None = None) -> dict:
-    """Entry as a plain dict: clock first, then variables (lexicographic
-    unless ``var_order`` is given), then event, then event_args."""
+def serialize_entry(entry: TraceEntry,
+                    var_order: Sequence[str] | None = None) -> str:
+    """One NDJSON line (no trailing newline): clock first, then
+    variables (lexicographic unless ``var_order`` is given), then
+    event, then event_args."""
     obj: dict[str, Any] = {"clock": entry.clock}
-    names = list(var_order) if var_order is not None else sorted(entry.updates)
+    names = var_order if var_order is not None else sorted(entry.updates)
     for name in names:
         obj[name] = [
             {
@@ -220,13 +221,7 @@ def entry_to_jsonable(entry: TraceEntry,
         obj["event"] = entry.event
     if entry.event_args is not None:
         obj["event_args"] = list(entry.event_args)
-    return obj
-
-
-def serialize_entry(entry: TraceEntry) -> str:
-    """One NDJSON line (no trailing newline), deterministic key order."""
-    return json.dumps(entry_to_jsonable(entry), separators=(",", ":"),
-                      ensure_ascii=False)
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
 
 
 def serialize_trace(trace: Trace) -> str:

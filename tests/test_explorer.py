@@ -428,14 +428,18 @@ def test_budget_that_bounds_nothing_is_refused(budget):
         ExplorerConfig(**budget)
 
 
-def test_budget_max_states_yields_inconclusive():
+# The initial states are filed whatever the budget, so even a budget of
+# 0 holds one node.
+@pytest.mark.parametrize("max_states", [0, 1])
+def test_budget_max_states_yields_inconclusive(max_states):
     spec = ladder_spec()
     t = Trace([
         entry(1, {"x": up("Update", 1)}, event="Up", event_args=["1"]),
         entry(2, {"x": up("Update", 2)}, event="Up", event_args=["2"]),
         entry(3, {"x": up("Update", 3)}, event="Up", event_args=["3"]),
     ])
-    v = validate(spec, t, ExplorerConfig(max_states=1))
+    v = validate(spec, t, ExplorerConfig(max_states=max_states))
+    assert v.distinct_states == 1
     assert not v.accepted
     assert v.inconclusive
     assert v.status() == "inconclusive"
@@ -451,11 +455,12 @@ def test_budget_max_seconds_yields_inconclusive():
     assert "max_seconds" in v.budget_reason
 
 
-def test_goal_at_budget_edge_stays_accepted():
+@pytest.mark.parametrize("max_states", [0, 1])
+def test_goal_at_budget_edge_stays_accepted(max_states):
     spec = ladder_spec()
     t = Trace([entry(1, {"x": up("Update", 1)}, event="Up",
                      event_args=["1"])])
-    v = validate(spec, t, ExplorerConfig(max_states=1))
+    v = validate(spec, t, ExplorerConfig(max_states=max_states))
     assert v.accepted
     assert not v.inconclusive
 

@@ -17,9 +17,10 @@ import pytest
 from oracle import (explore, free_names, oracle_validate, renamed,
                     renamed_state, renamings)
 
-from tracecheck import (ExplorerConfig, Spec, SpecState, TraceEntry, UpdateOp,
-                        VBag, VInt, VRec, VSeq, VSet, VStr, explain,
-                        explored_dot, match_entry, mk, validate)
+from tracecheck import (ActionSchema, ExplorerConfig, Spec, SpecState,
+                        TraceEntry, UpdateOp, VBag, VInt, VRec, VSeq, VSet,
+                        VStr, explain, explored_dot, match_entry, mk,
+                        validate)
 from tracecheck.cli import main
 from tracecheck.protocols import (TwoPhaseConfig, build_twophase_spec,
                                   rm_names, run_twophase)
@@ -247,6 +248,25 @@ def test_reduced_search_agrees_on_wider_e_traces(tmp_path):
                                       ExplorerConfig(search=search),
                                       oracle=False)
                 assert got.accepted == (bug is None)
+
+
+@pytest.mark.parametrize("search", ["bfs", "dfs"])
+def test_initial_states_merge_among_themselves(search):
+    # s starts at each of a, b and c, and no entry mentions any of
+    # them, so the three initial states are one node.
+    tick = ActionSchema("Tick", (), (),
+                        lambda s, p: [{"n": VInt(s["n"].n + 1)}])
+    spec = Spec(variables=("n", "s"),
+                init=[SpecState({"s": VStr(x), "n": VInt(0)})
+                      for x in ("a", "b", "c")],
+                actions=[tick], symmetric=("a", "b", "c"))
+    trace = [TraceEntry(clock=k, event="Tick") for k in (1, 2)]
+    cfg = ExplorerConfig(search=search)
+    got = validate(spec, trace, cfg)
+    plain = validate(dataclasses.replace(spec, symmetric=()), trace, cfg)
+    assert got.accepted and plain.accepted
+    assert got.distinct_states == 3
+    assert plain.distinct_states == {"bfs": 7, "dfs": 5}[search]
 
 
 # Each case: entry 1 prepares some RM, and entry 2 can follow only the
