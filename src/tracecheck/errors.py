@@ -37,10 +37,9 @@ class ParseError(TracecheckError):
 class SchemaError(TracecheckError):
     """A JSON object is well-formed but violates the trace entry schema."""
 
-    def __init__(self, message: str, line: int = 0, field: str = ""):
+    def __init__(self, message: str, line: int = 0):
         super().__init__(message)
         self.line = line
-        self.field = field
 
 
 class MissingClock(TracecheckError):

@@ -29,7 +29,8 @@ stutter's is empty; one undeclared frame leaves the step's undeclared.
 Work fixed for a whole validation is done once, in ``_Compiled``: the
 composition map is checked, the candidate steps of each kind of entry
 are listed with their frames, and each action's valuations are listed
-and rendered to event-arg strings, so a node only looks them up.
+and rendered to event-arg strings, so a node only looks them up (and
+filters them by the entry's pins, which rarely recur across nodes).
 
 A state reached at several lines is matched once per entry shape.  An
 entry's shape is its event, event args and updates; ``validate``
@@ -198,7 +199,6 @@ class _Compiled:
             vals = list(schema.valuations())
             self._domains[schema.name] = (
                 vals, [tuple(map(render_event_arg, v)) for v in vals])
-        self._pinned: dict[tuple, list[tuple[Value, ...]]] = {}
         self.interned: dict[tuple, SpecState] = {}
 
     def valuations(self, schema: ActionSchema,
@@ -213,15 +213,10 @@ class _Compiled:
         if not event_args and not keys:
             return vals
         args = tuple(event_args or ())
-        key = (schema.name, args, keys)
-        pinned = self._pinned.get(key)
-        if pinned is None:
-            n = len(args)
-            pinned = self._pinned[key] = [
-                v for v, text in zip(vals, rendered)
+        n = len(args)
+        return [v for v, text in zip(vals, rendered)
                 if text[:n] == args
                 and all(text[i] in fields for i, fields in keys)]
-        return pinned
 
 
 def step_label(name: str, values: Sequence[Value] | None) -> str:

@@ -186,9 +186,14 @@ class _Node:
                 run.net.send(self.name, f"node-{n - 1}", ("victory",))
         else:
             self.has_token = False
-            self.rec.notify("token", "Update", args=(self.i - 1,))
-            self.rec.log("PassToken", [self.i])
-            run.net.send(self.name, f"node-{self.i - 1}", ("token",))
+            self._pass_on("token")
+
+    def _pass_on(self, kind: str) -> None:
+        """Record PassToken and send ``kind`` ("token" or "victory") to
+        the next node down the ring."""
+        self.rec.notify("token", "Update", args=(self.i - 1,))
+        self.rec.log("PassToken", [self.i])
+        self.run.net.send(self.name, f"node-{self.i - 1}", (kind,))
 
     def on_message(self, src: str, payload: tuple) -> None:
         kind = payload[0]
@@ -199,10 +204,7 @@ class _Node:
             if self.run.cfg.bug == "eternal-token" and self.i != 0:
                 # Deviation: treats the victory lap like a live probe
                 # and logs a real token pass after detection.
-                self.rec.notify("token", "Update", args=(self.i - 1,))
-                self.rec.log("PassToken", [self.i])
-                self.run.net.send(self.name, f"node-{self.i - 1}",
-                                  ("victory",))
+                self._pass_on("victory")
             else:
                 self.victory_done = True
         elif kind == "wake":

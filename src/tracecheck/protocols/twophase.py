@@ -198,6 +198,12 @@ def rm_names(n: int) -> tuple[str, ...]:
     return tuple(f"rm-{i}" for i in range(n))
 
 
+# Every message an RM receives is a decision: its kind -> (the RM's
+# new state, the event it records).
+_DECISIONS = {"Commit": ("committed", "RMRcvCommitMsg"),
+              "Abort": ("aborted", "RMRcvAbortMsg")}
+
+
 class _RM:
     def __init__(self, name: str, run: SimRun, rec: Recorder,
                  timeout: float):
@@ -208,48 +214,38 @@ class _RM:
         self.decided = False
 
     def prepare(self) -> None:
+        self._prepared("RMPrepare")
+
+    def resend(self) -> None:
+        # The decision is late: push Prepared again.  With "stutter"
+        # logging the retry is recorded even though nothing changed.
+        self._prepared(None)
+
+    def _prepared(self, event: str | None) -> None:
+        """Record Prepared with ``event`` (None for a retry), send it,
+        and schedule the retry."""
         if self.decided:
             # The TM decided (e.g. an early abort) before this RM got
             # around to preparing; a real RM would not prepare now.
             return
-        rec = self.rec
-        rec.notify("rmState", "Update", path=(self.name,),
-                   args=("prepared",))
-        rec.notify("msgs", "Add",
-                   args=({"type": "Prepared", "rm": self.name},))
-        rec.log("RMPrepare", [self.name])
-        self.run.net.send(self.name, "tm", ("Prepared", self.name))
-        self.run.sched.at(self.timeout, self.resend)
-
-    def resend(self) -> None:
-        if self.decided:
-            return
-        # The decision is late: push Prepared again.  With "stutter"
-        # logging the retry is recorded even though nothing changed.
-        if self.run.cfg.resend_logging == "stutter":
+        if event is not None or self.run.cfg.resend_logging == "stutter":
             rec = self.rec
             rec.notify("rmState", "Update", path=(self.name,),
                        args=("prepared",))
             rec.notify("msgs", "Add",
                        args=({"type": "Prepared", "rm": self.name},))
-            rec.log()
+            rec.log(event, [self.name] if event else None)
         self.run.net.send(self.name, "tm", ("Prepared", self.name))
         self.run.sched.at(self.timeout, self.resend)
 
     def on_message(self, src: str, payload: tuple) -> None:
         if self.decided:
             return
-        kind = payload[0]
-        if kind == "Commit":
-            self.decided = True
-            self.rec.notify("rmState", "Update", path=(self.name,),
-                            args=("committed",))
-            self.rec.log("RMRcvCommitMsg", [self.name])
-        elif kind == "Abort":
-            self.decided = True
-            self.rec.notify("rmState", "Update", path=(self.name,),
-                            args=("aborted",))
-            self.rec.log("RMRcvAbortMsg", [self.name])
+        state, event = _DECISIONS[payload[0]]
+        self.decided = True
+        self.rec.notify("rmState", "Update", path=(self.name,),
+                        args=(state,))
+        self.rec.log(event, [self.name])
 
 
 class _TM:
@@ -274,27 +270,22 @@ class _TM:
         if self.run.cfg.bug == "counter":
             # Deviation: tallies receipts, so duplicates count twice.
             self.counter += 1
-            if self.counter >= n:
-                self.commit()
+            ready = self.counter >= n
         else:
             self.prepared.add(rm)
-            if len(self.prepared) == n:
-                self.commit()
-
-    def commit(self) -> None:
-        self.decision = "Commit"
-        self.rec.notify("tmState", "Update", args=("done",))
-        self.rec.notify("msgs", "Add", args=({"type": "Commit"},))
-        self.rec.log("TMCommit")
-        self._broadcast_decision()
+            ready = len(self.prepared) == n
+        if ready:
+            self._decide("Commit", "TMCommit")
 
     def abort(self) -> None:
-        if self.decision is not None:
-            return
-        self.decision = "Abort"
+        if self.decision is None:
+            self._decide("Abort", "TMAbort")
+
+    def _decide(self, decision: str, event: str) -> None:
+        self.decision = decision
         self.rec.notify("tmState", "Update", args=("done",))
-        self.rec.notify("msgs", "Add", args=({"type": "Abort"},))
-        self.rec.log("TMAbort")
+        self.rec.notify("msgs", "Add", args=({"type": decision},))
+        self.rec.log(event)
         self._broadcast_decision()
 
     def _broadcast_decision(self) -> None:

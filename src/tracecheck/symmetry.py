@@ -101,39 +101,32 @@ class Orbits:
     state, and states with equal keys are renamings of one another.
 
     Everything is kept for the validation: each state's key by its
-    fingerprint, and by canonical bytes each value's places and masked
-    bytes, and the bytes of each value renamed, by the images of the
-    free names it holds.
+    fingerprint, each value's places by its canonical bytes, and the
+    bytes of each value renamed, by the images of the free names it
+    holds.  Orbits are made only once some line of the search holds a
+    second node, so the tables are set up at once.
     """
 
     def __init__(self, names: tuple[str, ...], free: frozenset[str]):
-        self._names = names
         self._free = free
-        self._keys: dict[tuple, tuple] = {}
-
-    def key(self, state: SpecState) -> tuple:
-        fp = state.fingerprint()
-        key = self._keys.get(fp)
-        if key is None:
-            if not self._keys:
-                self._start()
-            key = self._keys[fp] = self._key(state, fp)
-        return key
-
-    def _start(self) -> None:
-        """Set up the tables, once a line first needs a key: most lines
-        of most traces never do."""
-        self.free = tuple(n for n in self._names if n in self._free)
+        self.free = tuple(n for n in names if n in free)
         # A free name's canonical bytes hold b":" + its UTF-8 bytes, as
         # a string (b"s<len>:<name>") or as a record key; a value whose
         # bytes hold none of these holds no free name.
         self._mentioned = re.compile(b"|".join(
             re.escape(b":" + n.encode()) for n in self.free)).search
+        self._keys: dict[tuple, tuple] = {}
         # canonical -> (places: (name, place) pairs, names in order)
         self._info: dict[bytes, tuple[tuple[tuple[str, bytes], ...],
                                       tuple[str, ...]]] = {}
-        self._masks: dict[bytes, bytes] = {}
         self._renamed: dict[tuple[bytes, tuple[str, ...]], bytes] = {}
+
+    def key(self, state: SpecState) -> tuple:
+        fp = state.fingerprint()
+        key = self._keys.get(fp)
+        if key is None:
+            key = self._keys[fp] = self._key(state, fp)
+        return key
 
     def _key(self, state: SpecState, fp: tuple) -> tuple:
         names, canons = fp[0], fp[1:]
@@ -198,27 +191,21 @@ class Orbits:
         canon = v.canonical()
         if not self._mentioned(canon):
             return canon
-        out = self._masks.get(canon)
-        if out is not None:
-            return out
         free = self._free
         if isinstance(v, VStr):
-            out = b"*" if v.text in free else canon
-        elif isinstance(v, VRec):
-            out = b"R{" + b"".join(sorted(
+            return b"*" if v.text in free else canon
+        if isinstance(v, VRec):
+            return b"R{" + b"".join(sorted(
                 (b"*" if k in free else k.encode()) + b"=" + self._masked(x)
                 + b";" for k, x in v.fields)) + b"}"
-        elif isinstance(v, VSeq):
-            out = b"q[" + b"".join(map(self._masked, v.items)) + b"]"
-        elif isinstance(v, VSet):
-            out = b"S[" + b"".join(sorted(map(self._masked, v.items))) + b"]"
-        elif isinstance(v, VBag):
-            out = b"B[" + b"".join(sorted(
+        if isinstance(v, VSeq):
+            return b"q[" + b"".join(map(self._masked, v.items)) + b"]"
+        if isinstance(v, VSet):
+            return b"S[" + b"".join(sorted(map(self._masked, v.items))) + b"]"
+        if isinstance(v, VBag):
+            return b"B[" + b"".join(sorted(
                 self._masked(x) + b"*%d;" % c for x, c in v.pairs)) + b"]"
-        else:
-            out = canon
-        self._masks[canon] = out
-        return out
+        return canon
 
     def _rename(self, v: Value, perm: Mapping[str, str]) -> bytes:
         """``renamed_canonical(v, perm)`` for a value whose places are

@@ -57,12 +57,18 @@ class FileBasedClock(Clock):
 
     The file holds a decimal integer terminated by a newline and is
     read-incremented-written under an exclusive advisory lock.
+    Attaching creates the file if need be and writes ``0`` only into an
+    empty file, under the same lock, so a process that attaches while
+    another creates or ticks the clock neither fails nor resets it.
     """
 
     def __init__(self, path: str):
+        import fcntl
+
         self.path = path
-        if not os.path.exists(path):
-            with open(path, "x") as f:
+        with open(path, "a") as f:
+            fcntl.flock(f.fileno(), fcntl.LOCK_EX)
+            if os.fstat(f.fileno()).st_size == 0:
                 f.write("0\n")
 
     def next(self) -> int:
@@ -128,8 +134,11 @@ class Tracer:
 
         Variables appear in first-notification order, each variable's
         updates in notification order.  An entry is written even when
-        nothing is buffered and no event is given.
+        nothing is buffered and no event is given.  Event args need an
+        event: without one they would name no step's parameters.
         """
+        if event is None and event_args is not None:
+            raise ValueError("event_args needs an event")
         explicit = isinstance(self.clock, ExplicitClock)
         if explicit and clock_value is None:
             raise MissingClock("tracer uses an explicit clock; "

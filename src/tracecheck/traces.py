@@ -2,11 +2,12 @@
 
 One trace entry per line.  Reserved keys are ``clock`` (required,
 integer in 0..2^63-1), ``event`` (string) and ``event_args`` (array of
-strings); every other key names a variable and maps to a non-empty
-array of update objects ``{"op": str, "path": [...], "args": [...]}``
-with no other keys.
-Keys that merely resemble reserved ones ("Event", "Clock") are
-variable names.
+strings, only beside an ``event``); every other key names a variable
+and maps to a non-empty array of update objects
+``{"op": str, "path": [...], "args": [...]}`` with no other keys, whose
+args ``values.mk`` lifts.  Keys that merely resemble reserved ones
+("Event", "Clock") are variable names.  A refused line raises a
+ParseError or SchemaError that carries only its 1-based ``line``.
 """
 
 from __future__ import annotations
@@ -42,38 +43,34 @@ Trace = list[TraceEntry]
 
 def _check_update(item: Any, key: str) -> None:
     if not isinstance(item, dict):
-        raise SchemaError(f"update for {key!r} is not an object", field=key)
+        raise SchemaError(f"update for {key!r} is not an object")
     for req in ("op", "path", "args"):
         if req not in item:
-            raise SchemaError(f"update for {key!r} lacks {req!r}", field=key)
+            raise SchemaError(f"update for {key!r} lacks {req!r}")
     if len(item) > 3:
         extra = next(k for k in item if k not in ("op", "path", "args"))
-        raise SchemaError(f"update for {key!r} has unknown key {extra!r}",
-                          field=key)
+        raise SchemaError(f"update for {key!r} has unknown key {extra!r}")
     if not isinstance(item["op"], str):
-        raise SchemaError(f"update op for {key!r} must be a string",
-                          field=key)
+        raise SchemaError(f"update op for {key!r} must be a string")
     if item["op"] not in OP_NAMES:
         raise SchemaError(f"update op for {key!r} is not an operator: "
-                          f"{item['op']!r}", field=key)
+                          f"{item['op']!r}")
     for req in ("path", "args"):
         if not isinstance(item[req], list):
-            raise SchemaError(f"update {req} for {key!r} must be an array",
-                              field=key)
+            raise SchemaError(f"update {req} for {key!r} must be an array")
 
 
 def _decode_update(item: dict, key: str) -> UpdateOp:
     path = item["path"]
     for seg in path:
         if not isinstance(seg, str):
-            raise SchemaError(f"path segment for {key!r} must be a string",
-                              field=key)
+            raise SchemaError(f"path segment for {key!r} must be a string")
     try:
         args = tuple([jsonable_to_value(a) for a in item["args"]])
     except ParseError as exc:
         if str(exc) == TOO_DEEP:
             raise   # the same fault as nesting too deep for the parser
-        raise SchemaError(f"bad arg for {key!r}: {exc}", field=key) from None
+        raise SchemaError(f"bad arg for {key!r}: {exc}") from None
     return UpdateOp(item["op"], tuple(path), args)
 
 
@@ -84,21 +81,24 @@ def _entry_from_obj(obj: Any) -> TraceEntry:
     if not isinstance(obj, dict):
         raise SchemaError("entry is not a JSON object")
     if "clock" not in obj:
-        raise SchemaError("missing required key 'clock'", field="clock")
+        raise SchemaError("missing required key 'clock'")
     clock = obj["clock"]
     if not isinstance(clock, int) or isinstance(clock, bool) or clock < 0:
-        raise SchemaError("'clock' must be an integer >= 0", field="clock")
+        raise SchemaError("'clock' must be an integer >= 0")
     if clock > I64_MAX:
-        raise SchemaError("'clock' must be at most 2^63-1", field="clock")
+        raise SchemaError("'clock' must be at most 2^63-1")
     event = obj.get("event")
     if "event" in obj and not isinstance(event, str):
-        raise SchemaError("'event' must be a string", field="event")
+        raise SchemaError("'event' must be a string")
     event_args = obj.get("event_args")
     if "event_args" in obj:
         if not isinstance(event_args, list) \
                 or not all(isinstance(x, str) for x in event_args):
-            raise SchemaError("'event_args' must be an array of strings",
-                              field="event_args")
+            raise SchemaError("'event_args' must be an array of strings")
+        if event is None:
+            # Args name an event's parameters; without the event no
+            # step could be pinned by them, so they would be dropped.
+            raise SchemaError("'event_args' needs an 'event'")
         event_args = tuple(event_args)
     updates: dict[str, tuple[UpdateOp, ...]] = {}
     for key, val in obj.items():
@@ -106,7 +106,7 @@ def _entry_from_obj(obj: Any) -> TraceEntry:
             continue
         if not isinstance(val, list) or len(val) < 1:
             raise SchemaError(
-                f"variable {key!r} must map to a non-empty array", field=key)
+                f"variable {key!r} must map to a non-empty array")
         for item in val:
             _check_update(item, key)
         updates[key] = tuple([_decode_update(item, key) for item in val])
@@ -179,7 +179,7 @@ def read_lines(
         if entry.clock < prev:
             yield lineno, SchemaError(
                 f"'clock' {entry.clock} is lower than the previous "
-                f"entry's {prev}", line=lineno, field="clock")
+                f"entry's {prev}", line=lineno)
         else:
             yield lineno, entry
         prev = entry.clock

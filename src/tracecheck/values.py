@@ -387,6 +387,11 @@ def mk(obj: Any) -> Value:
         return VSet(mk(x) for x in obj)
     if isinstance(obj, dict):
         return VRec((k, mk(v)) for k, v in obj.items())
+    # JSON's two values with no variant, worded as the reader reports.
+    if isinstance(obj, float):
+        raise TypeError(f"non-integral number not supported: {obj!r}")
+    if obj is None:
+        raise TypeError("null is not a supported value")
     raise TypeError(f"cannot lift {type(obj).__name__} into a Value")
 
 
@@ -455,34 +460,15 @@ def value_to_jsonable(v: Value) -> Any:
 
 
 def jsonable_to_value(obj: Any) -> Value:
-    """Decode parsed JSON.  Arrays become Seq; see the module docstring.
-
-    Nesting too deep for the interpreter's stack is a ParseError.
-    """
+    """Decode parsed JSON with ``mk``; arrays become Seq (see the module
+    docstring).  What ``mk`` refuses, and nesting too deep for the
+    interpreter's stack, is a ParseError."""
     try:
-        return _decode(obj)
+        return mk(obj)
+    except (TypeError, OverflowError) as exc:
+        raise ParseError(str(exc)) from None
     except RecursionError:
         raise ParseError(TOO_DEEP) from None
-
-
-def _decode(obj: Any) -> Value:
-    if isinstance(obj, bool):
-        return VBool(obj)
-    if isinstance(obj, int):
-        if not (I64_MIN <= obj <= I64_MAX):
-            raise ParseError(f"integer out of 64-bit signed range: {obj}")
-        return VInt(obj)
-    if isinstance(obj, str):
-        return VStr(obj)
-    if isinstance(obj, float):
-        raise ParseError(f"non-integral number not supported: {obj!r}")
-    if obj is None:
-        raise ParseError("null is not a supported value")
-    if isinstance(obj, list):
-        return VSeq(_decode(x) for x in obj)
-    if isinstance(obj, dict):
-        return VRec((k, _decode(v)) for k, v in obj.items())
-    raise ParseError(f"unsupported JSON construct: {type(obj).__name__}")
 
 
 def value_to_json(v: Value) -> str:

@@ -492,6 +492,121 @@ def test_validation_output_is_byte_for_byte_pinned(case, search, tmp_path,
     assert digests == _GOLDEN_DIGESTS[case, search]
 
 
+# Seeded runs whose files must not change by a byte: one per recorded
+# step of each simulator, logged resends and injected bugs included.
+_RUN_CASES = {
+    "twophase-resends-logged": "twophase --rms 3 --seed 7 --timeout 0.5",
+    "twophase-counter": "twophase --rms 4 --seed 5 --bug counter "
+                        "--force-resend --resend-logging silent",
+    "twophase-abort-after": "twophase --rms 3 --seed 2 --abort-after 2",
+    "tokenring-faithful": "tokenring --n 4 --seed 3",
+    "tokenring-self-message": "tokenring --n 4 --seed 6 --bug self-message",
+    "tokenring-eternal-token": "tokenring --n 4 --seed 6 --bug eternal-token",
+}
+
+# sha256 of each file a run writes.
+_RUN_DIGESTS = {
+    "twophase-resends-logged": {
+        "manifest.json":
+            "fc792885ad381cf915004f32c8c49d7ace8c4a79d8ef7389482427217863bafb",
+        "merged.ndjson":
+            "ad2e4c56be06eb65495fd9e993ffa481bf44e4a845ef53f2fc20959e6a2d0f38",
+        "rm-0.ndjson":
+            "cbbe377937fc17d253e467c3648ed90bb04951db36836657975a3cf5330fc102",
+        "rm-1.ndjson":
+            "a8f02cfb09d8f39922b93a6dc50a241d186ab3b0f261b04c16cced4139f7fe7a",
+        "rm-2.ndjson":
+            "fe22ecc788a05ddbebe114103a88780e86fbc08c4ef0e4fec7682bcc2760c994",
+        "tm.ndjson":
+            "0a8bd05fa8c02a9ffe842fb738392c198a83d9573efa8bfc04ae76b73f736a07",
+    },
+    "twophase-counter": {
+        "manifest.json":
+            "3496baa354723ac1c32594c4dfc37b12d8bc618eb1cf05fc1e707a3b73c89dce",
+        "merged.ndjson":
+            "79185f8609f41f49cba5be16f12128232fd1e4b7d811b6480d3d4a09017424d2",
+        "rm-0.ndjson":
+            "b09515a64a0b40fc9fdc7da42add3cafbcc83c4044a5d39a4fd02686a51801a3",
+        "rm-1.ndjson":
+            "dbc8f3c6823d7aa967a6bdc5281a0ccafec1fb263729f5dedcb0f86acc09fcf7",
+        "rm-2.ndjson":
+            "323ed8eed4faf0869a6308d0444b1a44534f5cab0e0ceb9142b2a8ba70ce7184",
+        "rm-3.ndjson":
+            "d1f56c6793f715e85384fce8cb44e27da55f10d125cbbcb8d3e3973a6c8497b5",
+        "tm.ndjson":
+            "714bd233eb7da8c9850e2e6218f85b250df153baf67acbaf86ae1a2fc31de480",
+    },
+    "twophase-abort-after": {
+        "manifest.json":
+            "7b3e91085d2841ee8a3b22835b0be2a3876fcce1f26db237074afc56da556614",
+        "merged.ndjson":
+            "729e5d048964a59d055a63a12b18100bdb6c437397363a13223a9bd6a86f8221",
+        "rm-0.ndjson":
+            "6a1d439ef7563b8d5465b98d1935a481f94e964fe6f5f47c33d5ec2b0d279ecb",
+        "rm-1.ndjson":
+            "54bce1ecaa51a16e2597af725e7505f3ea45be53a2718b8796fc7004bd352792",
+        "rm-2.ndjson":
+            "3b053c71cd80adfec4b6042495de5e32d3945e2935c59974b24b36493480d284",
+        "tm.ndjson":
+            "5c60e57036a412f3d1f257412c4b5d7de115534a8e6182c85c0cf00ac356353c",
+    },
+    "tokenring-faithful": {
+        "manifest.json":
+            "a163f35f6794459f3ad89f4894fddb7ca10a9a55731d69ba5b26effed71e0829",
+        "merged.ndjson":
+            "d630f3f63160257e57e2cd6b4feb4475dfdbbb6a191450d088fdcfc08659661a",
+        "node-0.ndjson":
+            "f929928968bc768af32ead9075d80432aa1bf7495ead1a17d76db82c22e4234c",
+        "node-1.ndjson":
+            "f6ba012ddfc22c63f670870b0114e309f3b4c4bfe5921cd6e461b48117a6de56",
+        "node-2.ndjson":
+            "b0c3ed63b2fa5deb54a544e71721c8100637e8d8a50c416baf79bb1d392540ad",
+        "node-3.ndjson":
+            "7f72a74de61dce4bd2cf45f99a33315752c5875076115478d788dcf7e0393654",
+    },
+    "tokenring-self-message": {
+        "manifest.json":
+            "49b97be8d29b2e49a00d84601798591797bb1bfa7770a6b54327beeef3580764",
+        "merged.ndjson":
+            "df76471c8ccdce852bb6f0ba28ed20914d3af2b3b93a43a8028b172263393140",
+        "node-0.ndjson":
+            "bdeca9f41abd7dd1ca935fb89c7adbf0b409b9b12b340b644f2e994dae1f6917",
+        "node-1.ndjson":
+            "624c903546126964c468e3ec7611227e1d1d787cffb15c1bf59cdea056eca15f",
+        "node-2.ndjson":
+            "5600c6b4e29a2906cedbb98f7d553fecbe7b6dbfaf94c3b305993ace03012d4f",
+        "node-3.ndjson":
+            "3e5df12d41f8a380c44f94b04a3f2b3579559b6b80be2c07bd1233c9aa09767d",
+    },
+    "tokenring-eternal-token": {
+        "manifest.json":
+            "7ddb4f8a384122f002c00a019ea713de6681e98c71cda1a2235fa78f2d91794f",
+        "merged.ndjson":
+            "d452db3360aed9a50430302c557c9174ac2527da3ca7f1b7945203f960af6a5b",
+        "node-0.ndjson":
+            "b1f532384f2e446bbc48548c0f88b40c09465893a028357eb240e11c3eb52aa9",
+        "node-1.ndjson":
+            "bfe84022166057c7bce52bc3c40b6f05711dff53d8d92893aa3c37bed5360580",
+        "node-2.ndjson":
+            "bcbe526b77e3abae7a3934df07f4651ac1cfc38b53b58a2d5bc790bc4d33ffdc",
+        "node-3.ndjson":
+            "bd70d8b5ccea7552eacbc28b6c97692f59bb484da854a5b0915a1fc2e41641fd",
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(_RUN_CASES))
+def test_run_files_are_byte_for_byte_pinned(case, tmp_path, capsys):
+    """A change to a simulator or the tracer may not change what a
+    seeded run records."""
+    out_dir = tmp_path / "run"
+    code, _, _ = run_cli(["run", *_RUN_CASES[case].split(),
+                          "--out", str(out_dir)], capsys)
+    assert code == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out_dir.iterdir())} == _RUN_DIGESTS[case]
+
+
 @pytest.mark.parametrize("command", ["run", "merge", "validate"])
 def test_unwritable_output_path_exits_three(command, happy_run, tmp_path,
                                             capsys):
@@ -568,6 +683,44 @@ def test_schema_check_lists_a_repeated_refused_line_at_every_line(
     assert out == "".join(f"line {n}: update for 'x' has unknown key "
                           "'extra'\n" for n in (1, 3, 4, 5)) \
         + "4 of 5 entries do not fit the format\n"
+
+
+def test_schema_check_names_each_arg_the_value_lift_refuses(tmp_path,
+                                                            capsys):
+    args = ("null", "1.5", str(2**63), str(-2**63 - 1), "[[null]]",
+            '{"a":1.5}')
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text("".join(
+        '{"clock":%d,"x":[{"op":"Update","path":[],"args":[%s]}]}\n'
+        % (n, arg) for n, arg in enumerate(args, start=1)))
+    code, out, _ = run_cli(["schema-check", str(bad)], capsys)
+    assert code == 1
+    assert out == (
+        "line 1: bad arg for 'x': null is not a supported value\n"
+        "line 2: bad arg for 'x': non-integral number not supported: 1.5\n"
+        "line 3: bad arg for 'x': integer out of 64-bit signed range: "
+        "9223372036854775808\n"
+        "line 4: bad arg for 'x': integer out of 64-bit signed range: "
+        "-9223372036854775809\n"
+        "line 5: bad arg for 'x': null is not a supported value\n"
+        "line 6: bad arg for 'x': non-integral number not supported: 1.5\n"
+        "6 of 6 entries do not fit the format\n")
+
+
+def test_event_args_without_an_event_are_refused(tmp_path, capsys):
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text(
+        '{"clock":1,"tmState":[{"op":"Update","path":[],"args":["done"]}],'
+        '"msgs":[{"op":"Add","path":[],"args":[{"type":"Abort"}]}],'
+        '"event_args":["rm-7"]}\n')
+    code, out, _ = run_cli(["schema-check", str(bad)], capsys)
+    assert code == 1
+    assert out == ("line 1: 'event_args' needs an 'event'\n"
+                   "1 of 1 entries do not fit the format\n")
+    code, _, err = run_cli(["validate", "--spec", "twophase:2",
+                            "--allow-stutter", "--trace", str(bad)], capsys)
+    assert code == 3
+    assert "line 1: 'event_args' needs an 'event'" in err
 
 
 def test_validate_input_errors_name_the_line(tmp_path, capsys):

@@ -120,6 +120,20 @@ def test_pending_updates_survive_a_failed_write(tmp_path):
     assert trace[0].updates["x"][0].args == (VInt(42),)
 
 
+def test_event_args_need_an_event(tmp_path):
+    path = tmp_path / "t.ndjson"
+    with Tracer(str(path)) as t:
+        t.notify_change("x", "Update", (), (42,))
+        with pytest.raises(ValueError):
+            t.log(None, ["rm-7"])
+        assert path.read_text() == ""
+        # the buffer was not cleared, so a retry carries the same update
+        t.log("Step")
+    trace = read_trace_file(str(path))
+    assert len(trace) == 1
+    assert trace[0].updates["x"][0].args == (VInt(42),)
+
+
 def test_in_memory_clock_is_strictly_increasing_across_threads(tmp_path):
     clock = InMemoryClock()
     tracers = [Tracer(str(tmp_path / f"p{i}.ndjson"), clock) for i in range(4)]
@@ -154,6 +168,19 @@ def test_file_based_clock_is_shared_through_the_file(tmp_path):
     assert a.next() == 3
     with open(path) as f:
         assert f.read() == "3\n"
+
+
+def test_file_based_clock_attaches_to_a_file_made_after_its_check(
+        tmp_path, monkeypatch):
+    # Another process creates (and ticks) the clock between a check for
+    # the file and its creation: attaching must neither fail nor reset.
+    path = str(tmp_path / "clock")
+    first = FileBasedClock(path)
+    for _ in range(3):
+        first.next()
+    monkeypatch.setattr(os.path, "exists", lambda p: False)
+    late = FileBasedClock(path)
+    assert late.next() == 4
 
 
 def test_explicit_clock_requires_clock_value(tmp_path):

@@ -148,6 +148,13 @@ def test_parse_rejects_floats_and_null():
         json_to_value(str(I64_MAX + 1))
 
 
+def test_mk_refuses_floats_and_null():
+    # The reader lifts with mk and turns its TypeError into a ParseError.
+    for bad in (1.5, None):
+        with pytest.raises(TypeError):
+            mk(bad)
+
+
 def test_roundtrip_identity_without_sets_or_bags():
     rng = random.Random(99)
     checked = 0
