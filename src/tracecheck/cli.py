@@ -142,10 +142,10 @@ def _only_unknown_events(verdict) -> bool:
 
 
 def _finish_validation(verdict, trace, args) -> int:
-    if getattr(args, "dot", None):
+    if args.dot:
         Path(args.dot).write_text(explored_dot(verdict, trace),
                                   encoding="utf-8")
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(verdict.to_jsonable(), indent=2, sort_keys=True))
     else:
         print(explain(verdict, trace))

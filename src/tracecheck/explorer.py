@@ -43,10 +43,6 @@ by fingerprint before its match is built: every node and memo entry
 holding an equal state holds the same ``SpecState``, so the memo adds
 references, not states.
 
-A line whose shape occurs once in the trace is never matched twice from
-one state, so its matches skip the memo (their states are still
-interned).
-
 A spec may declare ``symmetric`` names (TLC's ``SYMMETRY`` set).  The
 names free at line l are those no entry from l to the end mentions (see
 ``symmetry``), and a successor whose state is a renaming of a node's
@@ -66,11 +62,12 @@ attempts and DOT labels are states of the unreduced search, reached
 through the trace's own prefix; only a merged edge points at a node
 whose state equals its step's up to π.  The goal line is never reduced.
 Nothing is renamed until a line holds a second node, and the free
-names are worked out only then.  Orbit keys are filed in the dedup
-table beside fingerprints: a state's orbit key is the fingerprint of
-a renaming of it (``symmetry.Orbits``), and that renaming's own key is
-the same fingerprint, so a key and a fingerprint are equal only for
-states of one orbit.
+names are worked out only then; the orbit table of a set of free names
+is made when a line with that set first takes a key.  Orbit keys are
+filed in the dedup table beside fingerprints: a state's orbit key is
+the fingerprint of a renaming of it (``symmetry.Orbits``), and that
+renaming's own key is the same fingerprint, so a key and a fingerprint
+are equal only for states of one orbit.
 
 The search needs only each node's matches.  It skips every step whose
 frame leaves out a recorded variable the entry changes (such a step
@@ -102,7 +99,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import TracecheckError
 from .machine import ActionSchema, Spec, SpecState, step
@@ -574,19 +571,14 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
     length = len(trace)
 
     # Entry line -> shape id: entries with equal event, event args and
-    # updates share an id.  Only a line whose shape occurs again can hit
-    # the memo: a line is never matched twice from one state.
+    # updates share an id.
     shape_ids: dict[tuple, int] = {}
     shapes = [shape_ids.setdefault(
                   (e.event, e.event_args, tuple(e.updates.items())),
                   len(shape_ids))
               for e in trace]
-    uses = [0] * len(shape_ids)
-    for shape in shapes:
-        uses[shape] += 1
-    repeated = [uses[shape] > 1 for shape in shapes]
     # (state fingerprint, shape id) -> the pruned matches.
-    memo: dict[tuple[tuple, int] | None, list[Match]] = {}
+    memo: dict[tuple[tuple, int], list[Match]] = {}
 
     states: list[SpecState] = []         # node id -> state
     lines: list[int] = []                # node id -> line (1-based)
@@ -604,7 +596,7 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
     # (-1 while the line has none, None once it is keyed).
     symmetric = len(spec.symmetric) > 1
     first: list[int | None] = [-1] * (length + 2)
-    orbits: list[Orbits | None] = []
+    orbits: Callable[[int], Orbits | None] | None = None
 
     def file(state: SpecState, line: int, via: tuple[int, Match] | None
              ) -> int | None:
@@ -614,16 +606,16 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
         node would exceed ``max_states``; initial states and the goal
         line are exempt, since acceptance is definitive even at the
         budget edge.  A node filed past the last entry is the goal."""
-        nonlocal goal
+        nonlocal goal, orbits
         fp = state.fingerprint()
         node = ids.get((fp, line))
         if node is not None:
             return node
         keys = key = None
         if symmetric and first[line] != -1:
-            if not orbits:
-                orbits.extend(line_orbits(spec, trace, shapes))
-            keys = orbits[line]
+            if orbits is None:
+                orbits = line_orbits(spec, trace, shapes)
+            keys = orbits(line)
         if keys is not None:
             at = first[line]
             if at is not None:
@@ -673,14 +665,12 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
             budget_reason = f"max_seconds={cfg.max_seconds} exceeded"
             break
         state, line = states[nid], lines[nid]
-        memo_key = ((state.fingerprint(), shapes[line - 1])
-                    if repeated[line - 1] else None)
+        memo_key = state.fingerprint(), shapes[line - 1]
         matches = memo.get(memo_key)
         if matches is None:
             matches = match_entry(spec, state, trace[line - 1], cfg,
                                   compiled, prune=True)[0]
-            if memo_key is not None:
-                memo[memo_key] = matches
+            memo[memo_key] = matches
         if not matches:
             dead.append(nid)
             continue

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .machine import Spec, SpecState
 from .traces import TraceEntry
@@ -43,8 +43,6 @@ def mentions(entry: TraceEntry, names: frozenset[str]) -> set[str]:
         if arg.startswith(("[", "{")):          # a container's JSON text
             found.update(n for n in names
                          if json.dumps(n, ensure_ascii=False) in arg)
-    if not entry.updates:
-        return found
     for ops in entry.updates.values():
         for u in ops:
             found.update(u.path)
@@ -54,36 +52,41 @@ def mentions(entry: TraceEntry, names: frozenset[str]) -> set[str]:
 
 
 def line_orbits(spec: Spec, trace: Sequence[TraceEntry],
-                shapes: Sequence[int]) -> list[Orbits | None]:
-    """Index l (1-based line) -> the orbit keys of nodes at line l, or
-    None where fewer than two of the spec's symmetric names are free;
-    index 0 and the goal line len(trace) + 1 are None.
+                shapes: Sequence[int]) -> Callable[[int], Orbits | None]:
+    """A function from l (1-based line) to the orbit keys of nodes at
+    line l, or None where fewer than two of the spec's symmetric names
+    are free; None too at line 0 and at the goal line len(trace) + 1.
 
     ``shapes`` numbers the entries by shape, so each shape's mentions
     are found once.  The free names shrink towards the start of the
-    trace, so the walk stops once fewer than two are left.
+    trace, so the walk stops once fewer than two are left.  Lines share
+    one set of free names until an entry mentions one of them, and the
+    ``Orbits`` of a set is made when a line with it is first asked for.
     """
-    out: list[Orbits | None] = [None] * (len(trace) + 2)
-    names = frozenset(spec.symmetric)
-    if len(names) < 2:
-        return out
-    free = set(names)
+    free_at: list[frozenset[str] | None] = [None] * (len(trace) + 2)
+    names = free = frozenset(spec.symmetric)
     by_shape: dict[int, set[str]] = {}
-    orbits = None
     for line in range(len(trace), 0, -1):
         shape = shapes[line - 1]
         found = by_shape.get(shape)
         if found is None:
             found = by_shape[shape] = mentions(trace[line - 1], names)
         if found & free:
-            free -= found
-            if len(free) < 2:
-                break
-            orbits = None
-        if orbits is None:
-            orbits = Orbits(spec.symmetric, frozenset(free))
-        out[line] = orbits
-    return out
+            free = free - found
+        if len(free) < 2:
+            break
+        free_at[line] = free
+    tables: dict[frozenset[str], Orbits] = {}
+
+    def orbits(line: int) -> Orbits | None:
+        free = free_at[line]
+        if free is None:
+            return None
+        keys = tables.get(free)
+        if keys is None:
+            keys = tables[free] = Orbits(spec.symmetric, free)
+        return keys
+    return orbits
 
 
 class Orbits:
@@ -103,8 +106,9 @@ class Orbits:
     Everything is kept for the validation: each state's key by its
     fingerprint, each value's places by its canonical bytes, and the
     bytes of each value renamed, by the images of the free names it
-    holds.  Orbits are made only once some line of the search holds a
-    second node, so the tables are set up at once.
+    holds.  An ``Orbits`` is made only when a line with its free names
+    takes its first key (``line_orbits``), so the tables are set up at
+    once.
     """
 
     def __init__(self, names: tuple[str, ...], free: frozenset[str]):

@@ -59,11 +59,6 @@ class Value:
             return NotImplemented
         return self.canonical() == other.canonical()
 
-    def __ne__(self, other: object) -> bool:
-        if not isinstance(other, Value):
-            return NotImplemented
-        return self.canonical() != other.canonical()
-
     def __hash__(self) -> int:
         return hash(self.canonical())
 
@@ -233,11 +228,11 @@ class VBag(Value):
 class VRec(Value):
     """Record / finite function with string keys, kept in key order.
 
-    ``replaced`` on a record whose canonical bytes are cached splices
-    the new field's bytes into them instead of rendering every field
-    again.  It keeps where each field's value starts in those bytes
-    (``_starts``) on both records, so a chain of replacements works
-    each one out at most once.
+    ``replaced`` splices the new field's bytes into the record's
+    canonical bytes instead of rendering every field again.  It keeps
+    where each field's value starts in those bytes (``_starts``) on
+    both records, so a chain of replacements works each one out at
+    most once.
     """
 
     __slots__ = ("fields", "_starts")
@@ -302,20 +297,19 @@ class VRec(Value):
             raise KeyError(key)
         out = VRec._of_sorted(
             fields[:i] + ((key, _require_value(value)),) + fields[i + 1:])
-        canon = self._canon
-        if canon is not None:
-            # Cached bytes were rendered or spliced from the fields'
-            # cached bytes, so the old field's bytes are cached too.
-            starts = self._starts
-            if starts is None:
-                starts = self._starts = self._value_starts()
-            at = starts[i]
-            end = at + len(fields[i][1]._canon)
-            new = value.canonical()
-            out._canon = canon[:at] + new + canon[end:]
-            shift = len(new) - (end - at)
-            out._starts = starts if not shift else starts[:i + 1] + tuple(
-                [s + shift for s in starts[i + 1:]])
+        # Cached bytes were rendered or spliced from the fields' cached
+        # bytes, so the old field's bytes are cached too.
+        canon = self.canonical()
+        starts = self._starts
+        if starts is None:
+            starts = self._starts = self._value_starts()
+        at = starts[i]
+        end = at + len(fields[i][1]._canon)
+        new = value.canonical()
+        out._canon = canon[:at] + new + canon[end:]
+        shift = len(new) - (end - at)
+        out._starts = starts if not shift else starts[:i + 1] + tuple(
+            [s + shift for s in starts[i + 1:]])
         return out
 
     def __getitem__(self, key: str) -> Value:
@@ -448,9 +442,7 @@ def value_to_jsonable(v: Value) -> Any:
         return v.n
     if isinstance(v, VBool):
         return v.flag
-    if isinstance(v, VSeq):
-        return [value_to_jsonable(x) for x in v.items]
-    if isinstance(v, VSet):
+    if isinstance(v, (VSeq, VSet)):
         return [value_to_jsonable(x) for x in v.items]
     if isinstance(v, VBag):
         return [[value_to_jsonable(e), c] for e, c in v.pairs]

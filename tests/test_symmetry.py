@@ -301,3 +301,29 @@ def test_a_name_mentioned_only_later_is_not_merged(kind, search):
     assert validate(spec, bare, cfg).distinct_states < \
         validate(dataclasses.replace(spec, symmetric=()), bare,
                  cfg).distinct_states
+
+
+def test_orbit_tables_are_made_only_for_lines_that_key(tmp_path,
+                                                       monkeypatch):
+    # A counter trace at level v: some line holds two nodes, but leaves
+    # fewer than two RMs free, so nothing there is keyed; the lines that
+    # leave two RMs free hold one node each.
+    res = run_twophase(TwoPhaseConfig(
+        rms=rm_names(3), seed=0, record="v", bug="counter",
+        force_resend=True, resend_logging="silent"), tmp_path / "run")
+    made = []
+    init = Orbits.__init__
+
+    def counting(self, names, free):
+        made.append(free)
+        init(self, names, free)
+
+    monkeypatch.setattr(Orbits, "__init__", counting)
+    got = validate(res.spec, res.trace, ExplorerConfig(allow_stutter=True))
+    lines = range(1, len(res.trace) + 1)
+    free = {line: free_names(res.spec, res.trace, line) for line in lines}
+    crowded = [line for line in lines if got.lines.count(line) > 1]
+    assert crowded
+    assert all(len(free[line]) < 2 for line in crowded)
+    assert any(len(free[line]) >= 2 for line in lines)
+    assert made == []
