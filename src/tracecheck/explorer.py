@@ -61,13 +61,14 @@ keeps the real state it was reached by, so witnesses, blocked states,
 attempts and DOT labels are states of the unreduced search, reached
 through the trace's own prefix; only a merged edge points at a node
 whose state equals its step's up to π.  The goal line is never reduced.
-Nothing is renamed until a line holds a second node, and the free
+No key is taken until a line holds a second node, and the free
 names are worked out only then; the orbit table of a set of free names
 is made when a line with that set first takes a key.  Orbit keys are
-filed in the dedup table beside fingerprints: a state's orbit key is
-the fingerprint of a renaming of it (``symmetry.Orbits``), and that
-renaming's own key is the same fingerprint, so a key and a fingerprint
-are equal only for states of one orbit.
+filed in the dedup table beside fingerprints, and no key is a
+fingerprint: a key's second item is a tuple of name signatures
+(``symmetry.Orbits``) where a fingerprint's is a value's bytes.  So
+sharing ``ids`` is exact: a lookup by fingerprint finds only a node of
+an equal state, and a lookup by key only a node of a renaming.
 
 The search needs only each node's matches.  It skips every step whose
 frame leaves out a recorded variable the entry changes (such a step

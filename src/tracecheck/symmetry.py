@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Callable, Mapping, Sequence
+from itertools import chain
+from typing import Callable, Sequence
 
 from .machine import Spec, SpecState
 from .traces import TraceEntry
@@ -91,24 +92,56 @@ def line_orbits(spec: Spec, trace: Sequence[TraceEntry],
 
 class Orbits:
     """Orbit keys of states under the permutations of the ``free``
-    names among ``names``.
+    names among ``names``: two states get equal keys only when one is a
+    renaming of the other, and a state whose values are all separable
+    (below) gets the same key as every renaming of it.
 
-    A state's key is the fingerprint of its representative: the state
-    renamed by the permutation that sorts the free names on a
-    signature and sends the i-th name in that order to the i-th in
-    declared order.  A name's signature is the sorted list of the
-    places it occupies in the state, free names masked, so renaming
-    free names moves signatures with the names: the states of an orbit
-    get one key unless equal signatures leave the order open.  Sorting
-    is stable, so the representative is always a real renaming of the
-    state, and states with equal keys are renamings of one another.
+    A *place* of a free name in a value is the path to one occurrence
+    of it, with free names masked: a sequence index, a field's key (or,
+    for the name as a free-keyed field's key, that field's value), and
+    for a set or bag element the element's skeleton (and count).  A
+    value's *skeleton* is its canonical bytes with every free name
+    masked (``*``) and unordered parts sorted after masking.  Every
+    skeleton is self-delimiting and length-prefixes its strings and
+    keys, so it is injective on values up to their free names.  A value
+    is *separable* when each of its set elements, bag elements and
+    free-keyed record fields (key and value together) holds at most
+    one occurrence of a free name.  A separable value is rebuilt from
+    its skeleton and its places: each masked occurrence is either at a
+    fixed path (a sequence item, a fixed key's field) or alone in an
+    element or field the place picks out by skeleton, so the name at
+    each place fills exactly one hole.
 
-    Everything is kept for the validation: each state's key by its
-    fingerprint, each value's places by its canonical bytes, and the
-    bytes of each value renamed, by the images of the free names it
-    holds.  An ``Orbits`` is made only when a line with its free names
-    takes its first key (``line_orbits``), so the tables are set up at
-    once.
+    A name's signature lists, variable by variable, the sorted places
+    of the name in that variable's value.  The key is (the variable
+    names, the sorted signatures laid end to end, one part per
+    variable).  The part is the value's bytes when it holds no free
+    name, its skeleton when it is separable, and otherwise its bytes
+    renamed by the permutation that sorts the free names on their
+    signatures (sending the i-th name in that order to the i-th in
+    declared order).
+
+    Sound: say states s and t have equal keys.  Send the i-th name in
+    s's sorted order to the i-th in t's: equal sorted signatures make
+    this a bijection β with equal signatures, so each variable holds
+    β(n) in t at the places it holds n in s.  Equal parts are of one
+    kind: a skeleton holding a mask is no value's bytes, and a renamed
+    value holds free names where bytes without them hold none.  Equal
+    renamed parts make t's value β of s's, since both orders are sent
+    to the declared one.  A separable value of t has the skeleton of
+    s's, and the places of β of s's, so it is rebuilt as β of s's
+    value.  So t is β(s).  Conversely, renaming moves each signature
+    with its name, so the sorted signatures stay, and it fixes bytes
+    without free names and skeletons; only a renamed part, where equal
+    signatures leave the order open, can tell two states of one orbit
+    apart.  The key's second item is a tuple, where a fingerprint holds
+    bytes, so no key equals a fingerprint.
+
+    Everything is kept for the validation, by canonical bytes: each
+    state's key by its fingerprint, each value's places, skeleton and
+    separability, and each variable's value's places by name and part.
+    An ``Orbits`` is made only when a line with its free names takes
+    its first key (``line_orbits``), so the tables are set up at once.
     """
 
     def __init__(self, names: tuple[str, ...], free: frozenset[str]):
@@ -120,10 +153,12 @@ class Orbits:
         self._mentioned = re.compile(b"|".join(
             re.escape(b":" + n.encode()) for n in self.free)).search
         self._keys: dict[tuple, tuple] = {}
-        # canonical -> (places: (name, place) pairs, names in order)
+        # canonical -> (places: (name, place) pairs, skeleton, separable)
         self._info: dict[bytes, tuple[tuple[tuple[str, bytes], ...],
-                                      tuple[str, ...]]] = {}
-        self._renamed: dict[tuple[bytes, tuple[str, ...]], bytes] = {}
+                                      bytes, bool]] = {}
+        # a variable's canonical -> (each free name's sorted places, part)
+        self._held: dict[bytes, tuple[tuple[tuple[bytes, ...], ...],
+                                      bytes | None]] = {}
 
     def key(self, state: SpecState) -> tuple:
         fp = state.fingerprint()
@@ -134,93 +169,109 @@ class Orbits:
 
     def _key(self, state: SpecState, fp: tuple) -> tuple:
         names, canons = fp[0], fp[1:]
-        sigs: dict[str, list[tuple[int, bytes]]] = {n: [] for n in self.free}
-        held = []
-        for i, canon in enumerate(canons):
-            info = self._info.get(canon) or self._places(state[names[i]])
-            held.append(bool(info[1]))
-            for name, place in info[0]:
-                sigs[name].append((i, place))
-        for sig in sigs.values():
-            sig.sort()
-        order = sorted(self.free, key=sigs.__getitem__)
-        if order == list(self.free):
-            return fp
-        perm = dict(zip(order, self.free))
-        return (names, *[self._rename(state[name], perm) if has else canon
-                         for name, canon, has in zip(names, canons, held)])
+        held = [self._held.get(canon) or self._hold(state[names[i]])
+                for i, canon in enumerate(canons)]
+        sigs = list(zip(*[column for column, _ in held]))
+        parts = [part for _, part in held]
+        if None in parts:
+            order = sorted(self.free, key=dict(zip(self.free, sigs)).get)
+            perm = dict(zip(order, self.free))
+            parts = [renamed_canonical(state[name], perm) if part is None
+                     else part for name, part in zip(names, parts)]
+        sigs.sort()
+        return (names, tuple(chain.from_iterable(sigs)), *parts)
 
-    def _places(self, v: Value) -> tuple[tuple[tuple[str, bytes], ...],
-                                         tuple[str, ...]]:
-        """The (name, place) of each free name in ``v``, a place being
-        the path to it from ``v`` (a record key's place includes its
-        field's value, masked), and the free names in ``v``."""
+    def _hold(self, v: Value) -> tuple[tuple[tuple[bytes, ...], ...],
+                                       bytes | None]:
+        """The sorted places in a variable's value ``v`` of each free
+        name, in declared order, and the value's part of a key: its
+        skeleton when it is separable, else None."""
+        places, skeleton, separable = self._walk(v)
+        by_name: dict[str, list[bytes]] = {}
+        for n, place in places:
+            by_name.setdefault(n, []).append(place)
+        held = self._held[v.canonical()] = (
+            tuple([tuple(sorted(by_name.get(n, ()))) for n in self.free]),
+            skeleton if separable else None)
+        return held
+
+    def _walk(self, v: Value) -> tuple[tuple[tuple[str, bytes], ...],
+                                       bytes, bool]:
+        """The (name, place) of each free name in ``v``, the skeleton
+        of ``v`` and whether ``v`` is separable; a value without free
+        names is its own skeleton.
+
+        Each step of a place opens with its own byte: ``k`` (the name is
+        a field's key; then that field value's skeleton), ``v`` (inside
+        a free-keyed field's value), ``f`` (a fixed key, length-prefixed),
+        ``q`` (a sequence index), ``e`` (a set element; then its
+        skeleton) or ``b`` (a bag element; its count, then its
+        skeleton).  A masked name is ``*``, which opens no value's
+        bytes, so skeletons, and with them places, are self-delimiting.
+        """
         canon = v.canonical()
         info = self._info.get(canon)
         if info is not None:
             return info
-        found: list[tuple[str, bytes]] = []
+        known, walk = self._info.get, self._walk
+        places: list[tuple[str, bytes]] = []
+        separable = True
         if not self._mentioned(canon):
-            pass
+            skeleton = canon
         elif isinstance(v, VStr):
             if v.text in self._free:
-                found.append((v.text, b""))
+                places.append((v.text, b""))
+                skeleton = b"*"
+            else:
+                skeleton = canon
         elif isinstance(v, VRec):
+            fields = []
             for k, x in v.fields:
+                inner, skel, sep = known(x.canonical()) or walk(x)
                 if k in self._free:
-                    found.append((k, b"k" + self._masked(x)))
-                    tag = b"f*"
+                    places.append((k, b"k" + skel))
+                    fields.append(b"*=" + skel)
+                    tag = b"v"
+                    sep = sep and not inner
                 else:
-                    tag = b"f" + k.encode() + b";"
-                found.extend([(n, tag + p) for n, p in self._places(x)[0]])
+                    raw = k.encode()
+                    tag = b"f%d:%s" % (len(raw), raw)
+                    fields.append(b"k%d:%s=" % (len(raw), raw) + skel)
+                separable = separable and sep
+                if inner:
+                    places.extend([(n, tag + p) for n, p in inner])
+            skeleton = b"R{" + b"".join(sorted(fields)) + b"}"
         elif isinstance(v, VSeq):
+            items = []
             for i, x in enumerate(v.items):
-                tag = b"q%d;" % i
-                found.extend([(n, tag + p) for n, p in self._places(x)[0]])
+                inner, skel, sep = known(x.canonical()) or walk(x)
+                separable = separable and sep
+                items.append(skel)
+                if inner:
+                    tag = b"q%d;" % i
+                    places.extend([(n, tag + p) for n, p in inner])
+            skeleton = b"q[" + b"".join(items) + b"]"
         elif isinstance(v, VSet):
+            items = []
             for x in v.items:
-                found.extend([(n, b"e" + p) for n, p in self._places(x)[0]])
+                inner, skel, sep = known(x.canonical()) or walk(x)
+                separable = separable and sep and len(inner) < 2
+                items.append(skel)
+                if inner:
+                    tag = b"e" + skel
+                    places.extend([(n, tag + p) for n, p in inner])
+            skeleton = b"S[" + b"".join(sorted(items)) + b"]"
         elif isinstance(v, VBag):
+            items = []
             for x, c in v.pairs:
-                tag = b"b%d;" % c
-                found.extend([(n, tag + p) for n, p in self._places(x)[0]])
-        info = self._info[canon] = (
-            tuple(found), tuple(dict.fromkeys([n for n, _ in found])))
+                inner, skel, sep = known(x.canonical()) or walk(x)
+                separable = separable and sep and len(inner) < 2
+                items.append(skel + b"*%d;" % c)
+                if inner:
+                    tag = b"b%d;" % c + skel
+                    places.extend([(n, tag + p) for n, p in inner])
+            skeleton = b"B[" + b"".join(sorted(items)) + b"]"
+        else:
+            skeleton = canon
+        info = self._info[canon] = (tuple(places), skeleton, separable)
         return info
-
-    def _masked(self, v: Value) -> bytes:
-        """Canonical-like bytes of ``v`` with every free name replaced
-        by ``*``; unordered parts are sorted after masking, so the bytes
-        do not change when free names are renamed."""
-        canon = v.canonical()
-        if not self._mentioned(canon):
-            return canon
-        free = self._free
-        if isinstance(v, VStr):
-            return b"*" if v.text in free else canon
-        if isinstance(v, VRec):
-            return b"R{" + b"".join(sorted(
-                (b"*" if k in free else k.encode()) + b"=" + self._masked(x)
-                + b";" for k, x in v.fields)) + b"}"
-        if isinstance(v, VSeq):
-            return b"q[" + b"".join(map(self._masked, v.items)) + b"]"
-        if isinstance(v, VSet):
-            return b"S[" + b"".join(sorted(map(self._masked, v.items))) + b"]"
-        if isinstance(v, VBag):
-            return b"B[" + b"".join(sorted(
-                self._masked(x) + b"*%d;" % c for x, c in v.pairs)) + b"]"
-        return canon
-
-    def _rename(self, v: Value, perm: Mapping[str, str]) -> bytes:
-        """``renamed_canonical(v, perm)`` for a value whose places are
-        known, kept by the images of the free names it holds."""
-        canon = v.canonical()
-        names = self._info[canon][1]
-        images = tuple([perm[n] for n in names])
-        if images == names:
-            return canon
-        out = self._renamed.get((canon, images))
-        if out is None:
-            out = self._renamed[canon, images] = renamed_canonical(
-                v, perm, self._rename)
-        return out

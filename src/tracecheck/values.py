@@ -30,7 +30,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import BagUnderflow, OpTypeError, ParseError, PathError, UnknownOp
 
@@ -319,16 +319,11 @@ class VRec(Value):
         return v
 
 
-def renamed_canonical(v: Value, names: Mapping[str, str],
-                      part: Callable[[Value, Mapping[str, str]], bytes]
-                      | None = None) -> bytes:
+def renamed_canonical(v: Value, names: Mapping[str, str]) -> bytes:
     """The canonical bytes of ``v`` with every string and record key
     that ``names`` maps replaced by its image, at any depth, rendered
     without building the renamed value.  ``names`` must be one-to-one,
-    so distinct elements and keys stay distinct.  ``part`` renders each
-    element, field value or item of ``v`` renamed; by default it is
-    this function."""
-    part = part or renamed_canonical
+    so distinct elements and keys stay distinct."""
     if isinstance(v, VStr):
         new = names.get(v.text)
         return v.canonical() if new is None else VStr(new).canonical()
@@ -340,17 +335,18 @@ def renamed_canonical(v: Value, names: Mapping[str, str],
             if type(x) is VStr and x.text not in names:
                 c = x.canonical()    # the common field: a string kept
             else:
-                c = part(x, names)
+                c = renamed_canonical(x, names)
             fields.append(b"k%d:%s=%s" % (len(raw), raw, c))
         return b"R{" + b"".join(fields) + b"}"
     if isinstance(v, VSeq):
-        return b"q[" + b"".join([part(x, names) for x in v.items]) + b"]"
+        return b"q[" + b"".join([renamed_canonical(x, names)
+                                 for x in v.items]) + b"]"
     if isinstance(v, VSet):
-        return b"S[" + b"".join(sorted([part(x, names)
+        return b"S[" + b"".join(sorted([renamed_canonical(x, names)
                                         for x in v.items])) + b"]"
     if isinstance(v, VBag):
         return b"B[" + b"".join([b"%s*%d;" % pair for pair in sorted(
-            [(part(x, names), c) for x, c in v.pairs])]) + b"]"
+            [(renamed_canonical(x, names), c) for x, c in v.pairs])]) + b"]"
     return v.canonical()
 
 

@@ -122,31 +122,125 @@ def test_renamed_bytes_are_the_renamed_values_bytes():
     rng = random.Random(14)
     free = ("a", "b", "c", "é")
     for _ in range(500):
-        orbits = Orbits(free, frozenset(free))
         v = _random_value(rng)
-        orbits._places(v)
         perm = dict(zip(free, rng.sample(free, len(free))))
         want = renamed(v, perm).canonical()
         assert renamed_canonical(v, perm) == want
-        assert orbits._rename(v, perm) == want
         state = SpecState({"v": v, "w": VStr("a")})
         assert state.renamed_fingerprint(perm) == \
             renamed_state(state, perm).fingerprint()
 
 
 def test_orbit_keys_are_equal_exactly_within_an_orbit():
-    # Twophase at three RMs: every reachable state, keyed with all RMs
-    # free.  Equal keys must mean a renaming (soundness), and here each
-    # orbit gets one key (no state is left unmerged).
-    spec = build_twophase_spec(rm_names(3))
-    states, _ = explore(spec)
-    orbits = Orbits(spec.symmetric, frozenset(spec.symmetric))
+    # Twophase at three and four RMs: every reachable state, keyed with
+    # all RMs free.  Equal keys must mean a renaming (soundness), and
+    # here each orbit gets one key (no state is left unmerged).
+    for rms, orbit_count in ((3, 70), (4, 146)):
+        spec = build_twophase_spec(rm_names(rms))
+        states, _ = explore(spec)
+        orbits = Orbits(spec.symmetric, frozenset(spec.symmetric))
+        by_key = {}
+        for s in states:
+            by_key.setdefault(orbits.key(s), set()).add(s)
+        for group in by_key.values():
+            assert group == renamings(next(iter(group)),
+                                      rm_names(rms)) & set(states)
+        assert len(by_key) == orbit_count < len(states)
+
+
+_FREE = ("a", "b", "c", "é")
+
+
+def _occurrences(v, free):
+    """How many times the names in ``free`` occur in ``v``, as strings
+    or record keys."""
+    if isinstance(v, VStr):
+        return int(v.text in free)
+    if isinstance(v, VRec):
+        return sum((k in free) + _occurrences(x, free) for k, x in v.fields)
+    if isinstance(v, VBag):
+        return sum(_occurrences(x, free) for x, _ in v.pairs)
+    if isinstance(v, (VSeq, VSet)):
+        return sum(_occurrences(x, free) for x in v.items)
+    return 0
+
+
+def _separable(v, free):
+    """Whether each set element, bag element and free-keyed record
+    field (key and value together) in ``v``, at any depth, holds at
+    most one occurrence of a name in ``free``."""
+    if isinstance(v, VRec):
+        return all(_separable(x, free)
+                   and (k not in free or _occurrences(x, free) == 0)
+                   for k, x in v.fields)
+    if isinstance(v, VSeq):
+        return all(_separable(x, free) for x in v.items)
+    elements = (v.items if isinstance(v, VSet) else
+                [x for x, _ in v.pairs] if isinstance(v, VBag) else [])
+    return all(_separable(x, free) and _occurrences(x, free) < 2
+               for x in elements)
+
+
+# Pairs of values that are no renaming of one another, each beside the
+# same sequence of every name, so that no renaming but the identity
+# maps one state to the other.  Each pair differs where a careless
+# skeleton or place would not see it.
+_LOOKALIKES = [
+    # A record key and a string that read like a masked name.
+    (mk({"*": 1, "k": "a"}), mk({"b": 1, "k": "a"})),
+    (mk({"k": "a", "m": "*"}), mk({"k": "a", "m": "b"})),
+    (mk(["*", {"a"}]), mk([{"a"}, "*"])),
+    # Keys holding the separators of an encoding without lengths.
+    (mk({"k": "a", "m": 1, "n": 2}), mk({"k": "a", "m=i1;;n": 2})),
+    (mk({"k": "a", "m;": {"n": 1}}), mk({"k": "a", "m": {";n": 1}})),
+    (mk({"k": "a", "3:x": 1}), mk({"k": "a", "3": {"x": 1}})),
+    (mk({"a": "s3:b"}), mk({"a": "3:b"})),
+    # Set and bag elements told apart only by their skeletons.
+    (mk({("a", 1), ("b", 2)}), mk({("a", 2), ("b", 1)})),
+    (VBag([(mk(("a", 1)), 1), (mk(("b", 2)), 1)]),
+     VBag([(mk(("a", 2)), 1), (mk(("b", 1)), 1)])),
+    (VBag([(mk("a"), 1), (mk("b"), 2)]), VBag([(mk("a"), 2), (mk("b"), 1)])),
+    # Elements and free-keyed fields holding two names: not separable.
+    (VSet([mk({"p": "a", "q": "b"}), mk({"p": "c", "q": "é"})]),
+     VSet([mk({"p": "a", "q": "é"}), mk({"p": "c", "q": "b"})])),
+    (mk({("a", "b"), ("c", "é")}), mk({("a", "é"), ("c", "b")})),
+    (VBag([(mk(("a", "b")), 1), (mk(("c", "é")), 1)]),
+     VBag([(mk(("a", "é")), 1), (mk(("c", "b")), 1)])),
+    (mk({"a": "b", "c": "é"}), mk({"a": "é", "c": "b"})),
+]
+
+
+@pytest.mark.parametrize("free", [_FREE, _FREE[:3]])
+def test_orbit_keys_merge_only_renamings(free):
+    # Seeded random states, separable or not, and the look-alike pairs,
+    # each beside a random renaming of itself.  Equal keys must mean a
+    # renaming; a state whose values are all separable must get the key
+    # of every renaming of it; and no key is a fingerprint, so keys and
+    # fingerprints can share the search's dedup table.
+    rng = random.Random(f"orbit-keys-{len(free)}")
+    names = mk(list(_FREE))
+    pool = [SpecState({"x": _random_value(rng), "y": _random_value(rng, 2)})
+            for _ in range(200)]
+    pool += [SpecState({"x": v, "y": names})
+             for pair in _LOOKALIKES for v in pair]
+
+    def shuffled():
+        return dict(zip(free, rng.sample(free, len(free))))
+
+    states = pool + [renamed_state(s, shuffled()) for s in pool]
+    orbits = Orbits(_FREE, frozenset(free))
     by_key = {}
     for s in states:
         by_key.setdefault(orbits.key(s), set()).add(s)
     for group in by_key.values():
-        assert group == renamings(next(iter(group)), rm_names(3)) & set(states)
-    assert len(by_key) < len(states)
+        if len(group) > 1:
+            assert group <= renamings(next(iter(group)), free)
+    assert not set(by_key) & {s.fingerprint() for s in states}
+    separable = [s for s in pool if all(
+        _separable(v, free) for v in s.bindings.values())]
+    assert 0 < len(separable) < len(pool)
+    for s in separable:
+        assert orbits.key(renamed_state(s, shuffled())) == orbits.key(s)
 
 
 # --- the reduced search against the unreduced one and the oracle --------
