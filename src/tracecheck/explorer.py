@@ -34,7 +34,12 @@ filters them by the entry's pins, which rarely recur across nodes).
 
 A state reached at several lines is matched once per entry shape.  An
 entry's shape is its event, event args and updates; ``validate``
-numbers the shapes of its trace before it searches.  Matching reads
+numbers the shapes of its trace before it searches.  The reader gives
+lines that differ only in their clock one ``updates`` dict, so entries
+are first keyed by (identity of that dict, event, event args), and a
+dict's items are hashed for a shape only when such a key is new;
+entries equal in all three from separate dicts still share a shape.
+Matching reads
 only the state, the shape and the validation's fixed work, never the
 entry's clock or the node's line, so the matches of (fingerprint,
 shape) are the same at every line, and ``validate`` keeps them in a
@@ -217,6 +222,16 @@ class _Compiled:
                 and all(text[i] in fields for i, fields in keys)]
 
 
+def _json_text(v: Value, texts: dict[bytes, str]) -> str:
+    """``value_to_json(v)``, rendered once per canonical bytes: a report
+    passes one ``texts`` to all its calls (see ``SpecState.describe``)."""
+    c = v.canonical()
+    text = texts.get(c)
+    if text is None:
+        text = texts[c] = value_to_json(v)
+    return text
+
+
 def step_label(name: str, values: Sequence[Value] | None) -> str:
     """``name(arg, ...)`` with each value rendered as an event arg, or
     just ``name`` when there are no values."""
@@ -230,7 +245,8 @@ class Attempt:
     """One candidate that failed to match an entry, and why.
 
     It holds only facts; ``detail`` renders them as text when it is
-    read.
+    read.  A report renders many attempts through ``describe`` with one
+    ``texts`` (see ``SpecState.describe``).
     """
 
     candidate: str
@@ -250,6 +266,9 @@ class Attempt:
 
     @property
     def detail(self) -> str:
+        return self._detail({})
+
+    def _detail(self, texts: dict[bytes, str]) -> str:
         reason = self.reason
         if reason == "GuardFailed":
             return f"guard failed: {self.cause}"
@@ -259,8 +278,8 @@ class Attempt:
                         "is not a stutter")
             step_kind = "spec" if self.values is not None else "composed"
             return (f"variable {self.variable!r}: trace updates give "
-                    f"{value_to_json(self.expected)}, {step_kind} step "
-                    f"gives {value_to_json(self.actual)}")
+                    f"{_json_text(self.expected, texts)}, {step_kind} "
+                    f"step gives {_json_text(self.actual, texts)}")
         if reason == "UpdateError":
             if self.cause is None:
                 return f"entry updates unknown variable {self.variable!r}"
@@ -278,8 +297,9 @@ class Attempt:
         return (f"no parameter valuation renders as "
                 f"{list(self.event_args)}")
 
-    def describe(self) -> str:
-        return f"{step_label(self.candidate, self.values)}: {self.detail}"
+    def describe(self, texts: dict[bytes, str] | None = None) -> str:
+        detail = self._detail({} if texts is None else texts)
+        return f"{step_label(self.candidate, self.values)}: {detail}"
 
 
 # Slotted: a validation's memo keeps a Match for every step it found.
@@ -332,6 +352,14 @@ class Verdict:
         return "rejected"
 
     def to_jsonable(self) -> dict:
+        """The verdict as JSON data.  Each distinct value is rendered
+        once and each distinct witness step once per call."""
+        texts: dict[bytes, str] = {}
+
+        def state_json(state: SpecState) -> dict[str, str]:
+            return {k: _json_text(v, texts)
+                    for k, v in state.bindings.items()}
+
         out = {
             "status": self.status(),
             "accepted": self.accepted,
@@ -343,13 +371,12 @@ class Verdict:
             "failures": [
                 {
                     "entry": f.entry_index,
-                    "state": {k: value_to_json(v)
-                              for k, v in sorted(f.state.bindings.items())},
+                    "state": state_json(f.state),
                     "attempts": [
                         {
                             "candidate": a.candidate,
                             "reason": a.reason,
-                            "detail": a.detail,
+                            "detail": a._detail(texts),
                         }
                         for a in f.attempts
                     ],
@@ -360,15 +387,17 @@ class Verdict:
         if self.budget_reason is not None:
             out["budget_reason"] = self.budget_reason
         if self.witness is not None:
-            out["witness"] = [
-                {
-                    "entry": n,
-                    "step": step_label(w.name, w.values),
-                    "state": {k: value_to_json(v)
-                              for k, v in sorted(w.state.bindings.items())},
-                }
-                for n, w in enumerate(self.witness, 1)
-            ]
+            # Match id -> its step label and state, as JSON data; the
+            # witness holds every Match, so no id is reused here.
+            steps: dict[int, tuple[str, dict[str, str]]] = {}
+            out["witness"] = witness = []
+            for n, w in enumerate(self.witness, 1):
+                got = steps.get(id(w))
+                if got is None:
+                    got = steps[id(w)] = (step_label(w.name, w.values),
+                                          state_json(w.state))
+                witness.append({"entry": n, "step": got[0],
+                                "state": dict(got[1])})
         return out
 
 
@@ -572,12 +601,19 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
     length = len(trace)
 
     # Entry line -> shape id: entries with equal event, event args and
-    # updates share an id.
+    # updates share an id.  The trace holds every updates dict, so no
+    # id is reused during the call.
     shape_ids: dict[tuple, int] = {}
-    shapes = [shape_ids.setdefault(
-                  (e.event, e.event_args, tuple(e.updates.items())),
-                  len(shape_ids))
-              for e in trace]
+    by_dict: dict[tuple, int] = {}      # (id(updates), event, args) -> id
+    shapes = []
+    for e in trace:
+        pre = id(e.updates), e.event, e.event_args
+        sid = by_dict.get(pre)
+        if sid is None:
+            sid = by_dict[pre] = shape_ids.setdefault(
+                (e.event, e.event_args, tuple(e.updates.items())),
+                len(shape_ids))
+        shapes.append(sid)
     # (state fingerprint, shape id) -> the pruned matches.
     memo: dict[tuple[tuple, int], list[Match]] = {}
 
@@ -751,7 +787,9 @@ def _duplicate_add_hint(report: FailureReport, entry: TraceEntry) -> str | None:
 
 def explain(verdict: Verdict, trace: Trace) -> str:
     """Human-readable account of a verdict: at most MAX_REPORTS of its
-    blocked states are listed."""
+    blocked states are listed.  Each distinct value is rendered once and
+    each distinct witness step labelled once per call."""
+    texts: dict[bytes, str] = {}
     lines = []
     lines.append(
         f"{verdict.status()}: consumed {verdict.consumed_max} of "
@@ -764,17 +802,21 @@ def explain(verdict: Verdict, trace: Trace) -> str:
                      "definitive answer")
     if verdict.witness is not None:
         lines.append("witness behavior:")
+        labels: dict[int, str] = {}     # Match id -> its step label
         for k, w in enumerate(verdict.witness, 1):
-            lines.append(f"  entry {k}: {step_label(w.name, w.values)}")
+            label = labels.get(id(w))
+            if label is None:
+                label = labels[id(w)] = step_label(w.name, w.values)
+            lines.append(f"  entry {k}: {label}")
     if not verdict.accepted and verdict.failures:
         k = verdict.failures[0].entry_index
         entry = trace[k - 1]
         lines.append(f"entry {k} cannot be matched from any reached state:")
         lines.append(f"  {serialize_entry(entry)}")
         for report in verdict.failures[:MAX_REPORTS]:
-            lines.append(f"  blocked state: {report.state.describe()}")
+            lines.append(f"  blocked state: {report.state.describe(texts)}")
             for attempt in report.attempts:
-                lines.append(f"    - {attempt.describe()}")
+                lines.append(f"    - {attempt.describe(texts)}")
             hint = _duplicate_add_hint(report, entry)
             if hint is not None:
                 lines.append(f"    {hint}")
@@ -798,9 +840,10 @@ def explored_dot(verdict: Verdict, trace: Trace) -> str:
            "  rankdir=LR;",
            "  node [shape=box, fontsize=10];"]
     blocked = {f.node for f in verdict.failures}
+    texts: dict[bytes, str] = {}
     for i, (state, line) in enumerate(zip(verdict.states, verdict.lines)):
         label = f"after {line - 1} entr" + ("y" if line == 2 else "ies")
-        label += "\\n" + state.describe().replace('"', "'")
+        label += "\\n" + state.describe(texts).replace('"', "'")
         attrs = f"label={_dot_quote(label)}"
         if i in blocked:
             attrs += ", color=red"

@@ -125,9 +125,21 @@ class SpecState:
     def __hash__(self) -> int:
         return hash(self.fingerprint())
 
-    def describe(self) -> str:
-        return ", ".join(f"{k}={value_to_json(v)}"
-                         for k, v in zip(self._names, self._vals))
+    def describe(self, texts: dict[bytes, str] | None = None) -> str:
+        """``name=json`` per variable.  ``texts`` maps canonical bytes to
+        the JSON text already rendered for them; a report that describes
+        many states passes one dict to every call, so each distinct
+        value is rendered once."""
+        if texts is None:
+            texts = {}
+        parts = []
+        for k, v in zip(self._names, self._vals):
+            c = v.canonical()
+            text = texts.get(c)
+            if text is None:
+                text = texts[c] = value_to_json(v)
+            parts.append(f"{k}={text}")
+        return ", ".join(parts)
 
     def __repr__(self) -> str:
         return f"SpecState({self.describe()})"

@@ -71,7 +71,8 @@ def _decode_update(item: dict, key: str) -> UpdateOp:
         if str(exc) == TOO_DEEP:
             raise   # the same fault as nesting too deep for the parser
         raise SchemaError(f"bad arg for {key!r}: {exc}") from None
-    return UpdateOp(item["op"], tuple(path), args)
+    # _check_update and the checks above cover what __post_init__ checks.
+    return UpdateOp._of_checked(item["op"], tuple(path), args)
 
 
 def _entry_from_obj(obj: Any) -> TraceEntry:
@@ -146,25 +147,42 @@ def read_lines(
     merged trace is in clock order, so a file never goes backwards.
 
     Lines that differ only in their clock are decoded once.  A line
-    that starts as ``_CLOCK_FIRST`` matches is keyed by the text after
-    its clock.  Once a line with that text has decoded, a later one
-    becomes a new entry with its own clock that shares the first one's
-    ``updates``, ``event`` and ``event_args``.  This is sound because
-    that text fixes every field but the clock, and the pattern admits
-    only a clock that ``parse_json`` reads as an integer and that
-    passes the clock checks (``int(...) <= I64_MAX`` is the last one).
-    Every other line, and the first line with each text, goes through
-    ``decode_line``; a refused line is never kept.  The table lives
-    for one call.
+    that starts as ``_CLOCK_FIRST`` matches is looked up by the text
+    after its clock.  Once a line with that text has decoded, a later
+    one becomes a new entry with its own clock that shares the first
+    one's ``updates``, ``event`` and ``event_args``.  This is sound
+    because that text fixes every field but the clock, and the pattern
+    admits only a clock that ``parse_json`` reads as an integer and
+    that passes the clock checks (``int(...) <= I64_MAX`` is the last
+    one).  Every other line, and the first line with each text, goes
+    through ``decode_line``; a refused line is never kept.
+
+    The tables live for one call.  A text seen once is filed under its
+    hash with the line it came from, which the call's list of lines
+    holds anyway, so a file whose lines never repeat keeps no copy of
+    their text.  A later line is confirmed against that line, so a
+    line whose hash only collides decodes alone.  A text seen twice is
+    filed under the text itself, for the cheapest lookup.
     """
     prev = 0
-    seen: dict[str, TraceEntry] = {}
+    repeated: dict[str, TraceEntry] = {}
+    # hash of a text seen once -> (its line, the text's length, entry)
+    once: dict[int, tuple[str, int, TraceEntry]] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        if not raw.strip():
-            continue
         m = _CLOCK_FIRST.match(raw)
-        rest = raw[m.end():] if m else None
-        first = seen.get(rest)
+        first = None
+        if m is not None:
+            rest = raw[m.end():]
+            first = repeated.get(rest)
+            if first is None:
+                hit = once.get(hash(rest))
+                # A line ends with a text of the same length exactly
+                # when the text after its clock is that text.
+                if hit is not None and hit[1] == len(rest) \
+                        and hit[0].endswith(rest):
+                    first = repeated[rest] = hit[2]
+        elif not raw.strip():
+            continue
         if first is not None and (clock := int(m[1])) <= I64_MAX:
             entry = TraceEntry(clock, first.updates, first.event,
                                first.event_args)
@@ -174,8 +192,8 @@ def read_lines(
             except (ParseError, SchemaError) as exc:
                 yield lineno, exc
                 continue
-            if rest is not None:
-                seen[rest] = entry
+            if m is not None:
+                once.setdefault(hash(rest), (raw, len(rest), entry))
         if entry.clock < prev:
             yield lineno, SchemaError(
                 f"'clock' {entry.clock} is lower than the previous "

@@ -470,9 +470,14 @@ def json_to_value(text: str) -> Value:
 
 
 def render_event_arg(v: Value) -> str:
-    """Event parameters render as JSON, except bare strings stay unquoted."""
+    """Event parameters render as JSON, except bare strings stay unquoted.
+    Scalars are written directly, as ``value_to_json`` would write them."""
     if isinstance(v, VStr):
         return v.text
+    if isinstance(v, VInt):
+        return str(v.n)
+    if isinstance(v, VBool):
+        return "true" if v.flag else "false"
     return value_to_json(v)
 
 
@@ -496,6 +501,18 @@ class UpdateOp:
                 raise TypeError("path segments must be str")
         for a in self.args:
             _require_value(a)
+
+    @classmethod
+    def _of_checked(cls, op: str, path: tuple[str, ...],
+                    args: tuple[Value, ...]) -> "UpdateOp":
+        """Wrap fields a caller has already checked as ``__post_init__``
+        would: a known operator, a tuple of str segments and a tuple of
+        Values."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "op", op)
+        object.__setattr__(out, "path", path)
+        object.__setattr__(out, "args", args)
+        return out
 
 
 OP_NAMES = frozenset([

@@ -287,6 +287,39 @@ def test_pruning_skips_only_steps_whose_frame_misses_a_change(
     assert [m.name for m in pruned] == [m.name for m in full] == ["Free"]
 
 
+def test_shapes_tell_apart_entries_that_share_an_updates_dict(
+        monkeypatch):
+    # Every step keeps x at 0, so each entry is matched from one state,
+    # and only the entry's shape tells the memo's keys apart.
+    keep = ActionSchema("A", (("p", (VStr("p"), VStr("q"))),), (),
+                        lambda s, p: [{"x": VInt(0)}])
+    also = ActionSchema("B", (), (), lambda s, p: [{"x": VInt(0)}])
+    spec = Spec(variables=("x",), init=[SpecState({"x": VInt(0)})],
+                actions=[keep, also])
+    shared = {"x": (up("Update", 0),)}
+    t = Trace([
+        TraceEntry(1, shared, "A", ("p",)),
+        TraceEntry(2, shared, "A", ("q",)),    # other event args
+        TraceEntry(3, shared, "B"),            # other event
+        # Equal to the first entry, from a dict of its own.
+        TraceEntry(4, {"x": (up("Update", 0),)}, "A", ("p",)),
+        TraceEntry(5, shared, "B"),
+    ])
+    matched = []
+
+    def counting_match_entry(spec, state, e, *args, **kwargs):
+        matched.append(e.clock)
+        return match_entry(spec, state, e, *args, **kwargs)
+
+    monkeypatch.setattr("tracecheck.explorer.match_entry",
+                        counting_match_entry)
+    v = validate(spec, t)
+    assert v.accepted
+    assert matched == [1, 2, 3]
+    assert [step_label(m.name, m.values) for m in v.witness] == [
+        "A(p)", "A(q)", "B", "A(p)", "B"]
+
+
 @pytest.mark.parametrize("update, pinned", [
     (up("Update", "prepared", path=["rm-2"]), ["rm-2"]),
     # A whole-record update names no field, so it pins nothing.
@@ -715,6 +748,61 @@ def test_verdict_jsonable_failure_shape():
     assert obj["status"] == "rejected"
     assert obj["failures"][0]["entry"] == 1
     assert obj["failures"][0]["attempts"][0]["reason"] == "GuardFailed"
+
+
+def _count_renders(monkeypatch) -> list[bytes]:
+    """The canonical bytes of every value rendered to JSON from here
+    on, counting only the outermost call of each rendering."""
+    from tracecheck import values
+    orig, depth, rendered = values.value_to_jsonable, [0], []
+
+    def counting(v):
+        if not depth[0]:
+            rendered.append(v.canonical())
+        depth[0] += 1
+        try:
+            return orig(v)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(values, "value_to_jsonable", counting)
+    return rendered
+
+
+def test_explain_renders_a_repeated_expected_value_once(monkeypatch):
+    # Each Set(k) gives another x, so every attempt reports the entry's
+    # expected x, 7, against a value of its own.
+    dom = tuple(VInt(i) for i in range(1, 5))
+    spec = Spec(variables=("x",), init=[SpecState({"x": VInt(0)})],
+                actions=[ActionSchema("Set", (("k", dom),), (),
+                                      lambda s, p: [{"x": p["k"]}])])
+    t = Trace([entry(1, {"x": up("Update", 7)})])
+    v = validate(spec, t)
+    assert [a.reason for a in v.failures[0].attempts] == \
+        ["UpdateMismatch"] * 4
+    rendered = _count_renders(monkeypatch)
+    text = explain(v, t)
+    assert text.count("trace updates give 7,") == 4
+    assert rendered.count(VInt(7).canonical()) == 1
+    assert len(rendered) == len(set(rendered))
+
+
+def test_a_long_witness_renders_each_distinct_value_once(monkeypatch,
+                                                         tmp_path):
+    res = run_twophase(TwoPhaseConfig(rms=rm_names(4), seed=1,
+                                      timeout=0.5, work=(1, 500)),
+                       tmp_path)
+    v = validate(res.spec, res.trace,
+                 ExplorerConfig(allow_stutter=True,
+                                composition=res.composition))
+    assert v.accepted and len(v.witness) > 1000
+    rendered = _count_renders(monkeypatch)
+    obj = v.to_jsonable()
+    assert len(rendered) == len(set(rendered))
+    for w, got in zip(v.witness, obj["witness"]):
+        assert got["step"] == step_label(w.name, w.values)
+        assert got["state"] == {k: tracecheck.value_to_json(x)
+                                for k, x in w.state.bindings.items()}
 
 
 def test_explored_dot_marks_blocked_nodes():

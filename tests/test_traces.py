@@ -9,9 +9,9 @@ import pytest
 from conftest import assert_reads_line_by_line, gen_entry
 
 from tracecheck import (ParseError, SchemaError, Trace, TraceEntry,
-                        TracecheckError, UpdateOp, VInt, merge, parse_ndjson,
-                        read_trace_file, serialize_entry, serialize_trace,
-                        write_trace_file)
+                        TracecheckError, UpdateOp, VInt, VSeq, VSet, merge,
+                        mk, parse_ndjson, read_trace_file, serialize_entry,
+                        serialize_trace, write_trace_file)
 from tracecheck.traces import decode_line, read_lines
 
 
@@ -179,6 +179,41 @@ def test_repeated_shapes_read_as_each_line_alone():
         entries.append(TraceEntry(clock, shape.updates, shape.event,
                                   shape.event_args))
     assert_reads_line_by_line(serialize_trace(entries))
+
+
+def test_a_text_whose_hash_only_collides_reads_as_alone(monkeypatch):
+    # Every text after a clock hashes alike, so each lookup of a new
+    # text finds an earlier line with another text.
+    monkeypatch.setattr("tracecheck.traces.hash", lambda text: 0,
+                        raising=False)
+    rng = random.Random(17)
+    shapes = [gen_entry(rng, clock=0) for _ in range(6)]
+    entries = [TraceEntry(clock, shape.updates, shape.event,
+                          shape.event_args)
+               for clock, shape in enumerate(rng.choices(shapes, k=60))]
+    assert_reads_line_by_line(serialize_trace(entries))
+
+
+def test_the_reader_builds_updates_as_the_public_constructor_does():
+    rng = random.Random(29)
+    entries = [gen_entry(rng, clock=i) for i in range(200)]
+    # Record, set and nested args, and an empty path besides.
+    nested = mk({"a": [1, {"b": [True, "x"]}], "c": {"d": {}}})
+    entries.append(TraceEntry(200, {
+        "r": (UpdateOp("Update", ("f", "g"), (nested,)),),
+        "s": (UpdateOp("Init", (), (VSet([VInt(2), VInt(1)]),)),
+              UpdateOp("Add", (), (VSeq([nested]),))),
+        "t": (UpdateOp("Clear"),)}))
+    seen = 0
+    for e in parse_ndjson(serialize_trace(entries)):
+        for ops in e.updates.values():
+            for u in ops:
+                public = UpdateOp(u.op, list(u.path), list(u.args))
+                assert type(u.path) is tuple and type(u.args) is tuple
+                assert u == public and hash(u) == hash(public)
+                assert repr(u) == repr(public)
+                seen += 1
+    assert seen > 300
 
 
 REPEATED = '{"clock":1,"x":[{"op":"Update","path":[],"args":[[1]]}],' \

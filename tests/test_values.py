@@ -181,6 +181,14 @@ def test_render_event_arg():
     assert render_event_arg(VInt(7)) == "7"
     assert render_event_arg(VSeq([VInt(1)])) == "[1]"
     assert render_event_arg(VRec([("a", VStr("x"))])) == '{"a":"x"}'
+    # Every value but a bare string renders as its JSON text, scalars
+    # included, though they are written without the JSON encoder.
+    for v in (VInt(I64_MIN), VInt(-1), VInt(0), VInt(I64_MAX),
+              VBool(True), VBool(False),
+              VSeq([VInt(1), VStr("a")]), VSet([VBool(False), VInt(-3)]),
+              VBag([(VStr("m"), 2)]), VRec([("k", VSeq([VBool(True)]))]),
+              VSeq(), VSet(), VBag(), VRec()):
+        assert render_event_arg(v) == value_to_json(v)
 
 
 # --- update operators --------------------------------------------------
