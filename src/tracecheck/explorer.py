@@ -66,12 +66,14 @@ keeps the real state it was reached by, so witnesses, blocked states,
 attempts and DOT labels are states of the unreduced search, reached
 through the trace's own prefix; only a merged edge points at a node
 whose state equals its step's up to π.  The goal line is never reduced.
-No key is taken until a line holds a second node, and the free
-names are worked out only then; the orbit table of a set of free names
-is made when a line with that set first takes a key.  Orbit keys are
-filed in the dedup table beside fingerprints, and no key is a
-fingerprint: a key's second item is a tuple of name signatures
-(``symmetry.Orbits``) where a fingerprint's is a value's bytes.  So
+The free names of every line are worked out once, before the search;
+no key is taken until a line holds a second node, and the orbit table
+of a set of free names is made when a line with that set first takes a
+key.  Keys are filed in the dedup table beside fingerprints.  A state
+the skeleton walk cannot key (``symmetry.Orbits``) is keyed by its own
+fingerprint, so it merges only with itself.  Any other key names the
+variables first, as a fingerprint does, and has one item more than the
+fingerprint of a state over them, so it is no fingerprint.  So
 sharing ``ids`` is exact: a lookup by fingerprint finds only a node of
 an equal state, and a lookup by key only a node of a renaming.
 
@@ -105,11 +107,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import TracecheckError
 from .machine import ActionSchema, Spec, SpecState, step
-from .symmetry import Orbits, line_orbits
+from .symmetry import line_orbits
 from .traces import Trace, TraceEntry, serialize_entry
 from .values import (Value, VSet, apply_entry_updates, render_event_arg,
                      value_to_json)
@@ -626,14 +628,13 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
     dead: list[int] = []                 # nodes no step could leave
     goal: int | None = None
 
-    # Symmetry reduction.  Orbit keys are taken only at a line's second
-    # node: ``orbits`` (line -> its orbit keys, None where nothing
-    # merges) is worked out then, once, and the line's first node is
-    # filed under its key.  first: line -> its first node until then
-    # (-1 while the line has none, None once it is keyed).
-    symmetric = len(spec.symmetric) > 1
+    # Symmetry reduction: ``orbits`` maps a line to its orbit keys (None
+    # where nothing merges), and is None where no line merges.  Keys are
+    # taken only at a line's second node, and the line's first node is
+    # filed under its key then.  first: line -> its first node until
+    # then (-1 while the line has none, None once it is keyed).
+    orbits = line_orbits(spec, trace)
     first: list[int | None] = [-1] * (length + 2)
-    orbits: Callable[[int], Orbits | None] | None = None
 
     def file(state: SpecState, line: int, via: tuple[int, Match] | None
              ) -> int | None:
@@ -643,15 +644,13 @@ def validate(spec: Spec, trace: Trace, cfg: ExplorerConfig | None = None
         node would exceed ``max_states``; initial states and the goal
         line are exempt, since acceptance is definitive even at the
         budget edge.  A node filed past the last entry is the goal."""
-        nonlocal goal, orbits
+        nonlocal goal
         fp = state.fingerprint()
         node = ids.get((fp, line))
         if node is not None:
             return node
         keys = key = None
-        if symmetric and first[line] != -1:
-            if orbits is None:
-                orbits = line_orbits(spec, trace, shapes)
+        if orbits is not None and first[line] != -1:
             keys = orbits(line)
         if keys is not None:
             at = first[line]

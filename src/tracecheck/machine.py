@@ -109,14 +109,6 @@ class SpecState:
             vals[i] = v
         return self._derive(tuple(vals))
 
-    def renamed_fingerprint(self, names: Mapping[str, str]) -> tuple:
-        """The fingerprint of this state with every string and record
-        key that ``names`` maps replaced by its image (see
-        ``values.renamed_canonical``), worked out without building that
-        state."""
-        return (self._names,
-                *[renamed_canonical(v, names) for v in self._vals])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpecState):
             return NotImplemented
@@ -258,11 +250,13 @@ class Spec:
             # them generate every permutation, and so do the swaps of
             # adjacent names: initial states closed under the first two
             # renamings are closed under all, and otherwise some
-            # adjacent swap shows it.
+            # adjacent swap shows it.  A renamed state's fingerprint is
+            # rendered without building that state.
             init = {s.fingerprint() for s in self.init}
 
             def leaves(renaming: dict[str, str]) -> bool:
-                return any(s.renamed_fingerprint(renaming) not in init
+                return any((s._names, *[renamed_canonical(v, renaming)
+                                        for v in s._vals]) not in init
                            for s in self.init)
 
             if leaves({names[0]: names[1], names[1]: names[0]}) \

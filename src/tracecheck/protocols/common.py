@@ -83,11 +83,13 @@ class SimRun:
 
     def __init__(self, cfg, out_dir, loss: float = 0.0):
         self.cfg = cfg
-        self.out = Path(out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
         self.sched = SimScheduler()
         self.rng = random.Random(cfg.seed)
+        # The network checks the delay order and the loss, so a refused
+        # run leaves no output directory behind.
         self.net = SimNetwork(self.sched, self.rng, cfg.delay, loss)
+        self.out = Path(out_dir)
+        self.out.mkdir(parents=True, exist_ok=True)
         self.clock = InMemoryClock()
         self.files: list[Path] = []
         self.tracers: list[Tracer] = []

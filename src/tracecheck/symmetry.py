@@ -12,13 +12,12 @@ update's args.  ``explorer`` argues why merging on these keys is sound.
 from __future__ import annotations
 
 import json
-import re
 from itertools import chain
 from typing import Callable, Sequence
 
 from .machine import Spec, SpecState
 from .traces import TraceEntry
-from .values import Value, VBag, VRec, VSeq, VSet, VStr, renamed_canonical
+from .values import Value, VBag, VRec, VSeq, VSet, VStr
 
 def _strings(v: Value, out: set[str]) -> None:
     """Add every string and record key in ``v`` to ``out``."""
@@ -52,31 +51,29 @@ def mentions(entry: TraceEntry, names: frozenset[str]) -> set[str]:
     return found & names
 
 
-def line_orbits(spec: Spec, trace: Sequence[TraceEntry],
-                shapes: Sequence[int]) -> Callable[[int], Orbits | None]:
+def line_orbits(spec: Spec, trace: Sequence[TraceEntry]
+                ) -> Callable[[int], Orbits | None] | None:
     """A function from l (1-based line) to the orbit keys of nodes at
     line l, or None where fewer than two of the spec's symmetric names
     are free; None too at line 0 and at the goal line len(trace) + 1.
+    None instead of the function where no line leaves two names free.
 
-    ``shapes`` numbers the entries by shape, so each shape's mentions
-    are found once.  The free names shrink towards the start of the
-    trace, so the walk stops once fewer than two are left.  Lines share
-    one set of free names until an entry mentions one of them, and the
-    ``Orbits`` of a set is made when a line with it is first asked for.
+    The free names shrink towards the start of the trace, so the walk
+    stops once fewer than two are left.  Lines share one set of free
+    names until an entry mentions one of them, and the ``Orbits`` of a
+    set is made when a line with it is first asked for.
     """
     free_at: list[frozenset[str] | None] = [None] * (len(trace) + 2)
-    names = free = frozenset(spec.symmetric)
-    by_shape: dict[int, set[str]] = {}
+    free = frozenset(spec.symmetric)
     for line in range(len(trace), 0, -1):
-        shape = shapes[line - 1]
-        found = by_shape.get(shape)
-        if found is None:
-            found = by_shape[shape] = mentions(trace[line - 1], names)
-        if found & free:
+        found = mentions(trace[line - 1], free)
+        if found:
             free = free - found
         if len(free) < 2:
             break
         free_at[line] = free
+    if free_at[len(trace)] is None:
+        return None
     tables: dict[frozenset[str], Orbits] = {}
 
     def orbits(line: int) -> Orbits | None:
@@ -94,7 +91,8 @@ class Orbits:
     """Orbit keys of states under the permutations of the ``free``
     names among ``names``: two states get equal keys only when one is a
     renaming of the other, and a state whose values are all separable
-    (below) gets the same key as every renaming of it.
+    (below) gets the same key as every renaming of it.  Any other state
+    is keyed by its fingerprint, so it merges only with itself.
 
     A *place* of a free name in a value is the path to one occurrence
     of it, with free names masked: a sequence index, a field's key (or,
@@ -113,29 +111,20 @@ class Orbits:
     each place fills exactly one hole.
 
     A name's signature lists, variable by variable, the sorted places
-    of the name in that variable's value.  The key is (the variable
-    names, the sorted signatures laid end to end, one part per
-    variable).  The part is the value's bytes when it holds no free
-    name, its skeleton when it is separable, and otherwise its bytes
-    renamed by the permutation that sorts the free names on their
-    signatures (sending the i-th name in that order to the i-th in
-    declared order).
+    of the name in that variable's value.  A separable state's key is
+    (the variable names, the sorted signatures laid end to end, each
+    variable's skeleton).
 
-    Sound: say states s and t have equal keys.  Send the i-th name in
-    s's sorted order to the i-th in t's: equal sorted signatures make
-    this a bijection β with equal signatures, so each variable holds
-    β(n) in t at the places it holds n in s.  Equal parts are of one
-    kind: a skeleton holding a mask is no value's bytes, and a renamed
-    value holds free names where bytes without them hold none.  Equal
-    renamed parts make t's value β of s's, since both orders are sent
-    to the declared one.  A separable value of t has the skeleton of
-    s's, and the places of β of s's, so it is rebuilt as β of s's
-    value.  So t is β(s).  Conversely, renaming moves each signature
-    with its name, so the sorted signatures stay, and it fixes bytes
-    without free names and skeletons; only a renamed part, where equal
-    signatures leave the order open, can tell two states of one orbit
-    apart.  The key's second item is a tuple, where a fingerprint holds
-    bytes, so no key equals a fingerprint.
+    Sound: say states s and t have equal keys.  A key of a state over
+    given variables has one item more than a fingerprint of a state
+    over them, so s and t are both keyed by fingerprint, and equal, or
+    both separable.  Then send the i-th name in s's sorted order to the
+    i-th in t's: equal sorted signatures make this a bijection β with
+    equal signatures, so each variable holds β(n) in t at the places it
+    holds n in s.  Each value of t has the skeleton of s's, and the
+    places of β of s's, so it is rebuilt as β of s's value.  So t is
+    β(s).  Conversely, renaming moves each signature with its name, so
+    the sorted signatures stay, and it fixes skeletons.
 
     Everything is kept for the validation, by canonical bytes: each
     state's key by its fingerprint, each value's places, skeleton and
@@ -147,11 +136,6 @@ class Orbits:
     def __init__(self, names: tuple[str, ...], free: frozenset[str]):
         self._free = free
         self.free = tuple(n for n in names if n in free)
-        # A free name's canonical bytes hold b":" + its UTF-8 bytes, as
-        # a string (b"s<len>:<name>") or as a record key; a value whose
-        # bytes hold none of these holds no free name.
-        self._mentioned = re.compile(b"|".join(
-            re.escape(b":" + n.encode()) for n in self.free)).search
         self._keys: dict[tuple, tuple] = {}
         # canonical -> (places: (name, place) pairs, skeleton, separable)
         self._info: dict[bytes, tuple[tuple[tuple[str, bytes], ...],
@@ -171,14 +155,10 @@ class Orbits:
         names, canons = fp[0], fp[1:]
         held = [self._held.get(canon) or self._hold(state[names[i]])
                 for i, canon in enumerate(canons)]
-        sigs = list(zip(*[column for column, _ in held]))
         parts = [part for _, part in held]
         if None in parts:
-            order = sorted(self.free, key=dict(zip(self.free, sigs)).get)
-            perm = dict(zip(order, self.free))
-            parts = [renamed_canonical(state[name], perm) if part is None
-                     else part for name, part in zip(names, parts)]
-        sigs.sort()
+            return fp
+        sigs = sorted(zip(*[column for column, _ in held]))
         return (names, tuple(chain.from_iterable(sigs)), *parts)
 
     def _hold(self, v: Value) -> tuple[tuple[tuple[bytes, ...], ...],
@@ -198,8 +178,7 @@ class Orbits:
     def _walk(self, v: Value) -> tuple[tuple[tuple[str, bytes], ...],
                                        bytes, bool]:
         """The (name, place) of each free name in ``v``, the skeleton
-        of ``v`` and whether ``v`` is separable; a value without free
-        names is its own skeleton.
+        of ``v`` and whether ``v`` is separable.
 
         Each step of a place opens with its own byte: ``k`` (the name is
         a field's key; then that field value's skeleton), ``v`` (inside
@@ -216,9 +195,7 @@ class Orbits:
         known, walk = self._info.get, self._walk
         places: list[tuple[str, bytes]] = []
         separable = True
-        if not self._mentioned(canon):
-            skeleton = canon
-        elif isinstance(v, VStr):
+        if isinstance(v, VStr):
             if v.text in self._free:
                 places.append((v.text, b""))
                 skeleton = b"*"

@@ -238,6 +238,18 @@ def test_usage_errors_exit_three(tmp_path, capsys):
         assert err.count("error:") == 1, argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["twophase", "--delay", "5,1"], ["twophase", "--loss", "1.5"],
+    ["tokenring", "--delay", "5,1"]])
+def test_a_refused_run_leaves_no_output_directory(argv, tmp_path, capsys):
+    # The ring loses no message, so only twophase reads --loss.
+    out_dir = tmp_path / "x"
+    code, out, err = run_cli(["run", *argv, "--out", str(out_dir)], capsys)
+    assert code == 3
+    assert err.count("error:") == 1
+    assert not out_dir.exists()
+
+
 def test_effect_outside_its_frame_exits_three(tmp_path, capsys,
                                              monkeypatch):
     # TMAbort's frame leaves out msgs, which its effect binds.

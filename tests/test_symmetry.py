@@ -17,10 +17,10 @@ import pytest
 from oracle import (explore, free_names, oracle_validate, renamed,
                     renamed_state, renamings)
 
-from tracecheck import (ActionSchema, ExplorerConfig, Spec, SpecState,
-                        TraceEntry, UpdateOp, VBag, VInt, VRec, VSeq, VSet,
-                        VStr, explain, explored_dot, match_entry, mk,
-                        validate)
+from tracecheck import (ActionSchema, ExplorerConfig, GuardClause, Spec,
+                        SpecState, TraceEntry, UpdateOp, VBag, VInt, VRec,
+                        VSeq, VSet, VStr, explain, explored_dot, match_entry,
+                        mk, validate)
 from tracecheck.cli import main
 from tracecheck.protocols import (TwoPhaseConfig, build_twophase_spec,
                                   rm_names, run_twophase)
@@ -51,11 +51,14 @@ def test_spec_refuses_a_repeated_symmetric_name():
         _one_var_spec(["a"], ("a", "b", "a"))
 
 
-def test_spec_refuses_initial_states_not_closed_under_a_swap():
+@pytest.mark.parametrize("holding", [
+    lambda n: {n: 1}, lambda n: {n}, lambda n: VBag([(VStr(n), 2)]),
+    lambda n: ["x", n]], ids=["record-key", "set", "bag", "sequence"])
+def test_spec_refuses_initial_states_not_closed_under_a_swap(holding):
     # Closed under swapping a and b, not under swapping b and c.
     with pytest.raises(ValueError, match="'b' and 'c'"):
-        _one_var_spec([{"a"}, {"b"}], ("a", "b", "c"))
-    spec = _one_var_spec([{"a"}, {"b"}, {"c"}], ("a", "b", "c"))
+        _one_var_spec([holding("a"), holding("b")], ("a", "b", "c"))
+    spec = _one_var_spec([holding(n) for n in "abc"], ("a", "b", "c"))
     assert spec.symmetric == ("a", "b", "c")
 
 
@@ -126,9 +129,6 @@ def test_renamed_bytes_are_the_renamed_values_bytes():
         perm = dict(zip(free, rng.sample(free, len(free))))
         want = renamed(v, perm).canonical()
         assert renamed_canonical(v, perm) == want
-        state = SpecState({"v": v, "w": VStr("a")})
-        assert state.renamed_fingerprint(perm) == \
-            renamed_state(state, perm).fingerprint()
 
 
 def test_orbit_keys_are_equal_exactly_within_an_orbit():
@@ -215,8 +215,9 @@ def test_orbit_keys_merge_only_renamings(free):
     # Seeded random states, separable or not, and the look-alike pairs,
     # each beside a random renaming of itself.  Equal keys must mean a
     # renaming; a state whose values are all separable must get the key
-    # of every renaming of it; and no key is a fingerprint, so keys and
-    # fingerprints can share the search's dedup table.
+    # of every renaming of it; and a key is the state's fingerprint
+    # exactly when some value is not separable, so such a state merges
+    # only with itself.
     rng = random.Random(f"orbit-keys-{len(free)}")
     names = mk(list(_FREE))
     pool = [SpecState({"x": _random_value(rng), "y": _random_value(rng, 2)})
@@ -235,7 +236,9 @@ def test_orbit_keys_merge_only_renamings(free):
     for group in by_key.values():
         if len(group) > 1:
             assert group <= renamings(next(iter(group)), free)
-    assert not set(by_key) & {s.fingerprint() for s in states}
+    for s in states:
+        assert (orbits.key(s) == s.fingerprint()) == (not all(
+            _separable(v, free) for v in s.bindings.values()))
     separable = [s for s in pool if all(
         _separable(v, free) for v in s.bindings.values())]
     assert 0 < len(separable) < len(pool)
@@ -395,6 +398,65 @@ def test_a_name_mentioned_only_later_is_not_merged(kind, search):
     assert validate(spec, bare, cfg).distinct_states < \
         validate(dataclasses.replace(spec, symmetric=()), bare,
                  cfg).distinct_states
+
+
+def _edge_spec():
+    """A directed graph over a, b and c, grown and cut one edge at a
+    time.  Its edge set holds two names in each element, so a state
+    with an edge is not separable; ``last``, the source of the last new
+    edge, is a separable value beside it."""
+    nodes = tuple(VStr(n) for n in "abc")
+    ends = (("x", nodes), ("y", nodes))
+
+    def edge(p):
+        return mk((p["x"], p["y"]))
+
+    def edges(s, add=(), cut=()):
+        return VSet([e for e in s["edges"].items if e not in cut]
+                    + list(add))
+
+    link = ActionSchema(
+        "Link", ends,
+        (GuardClause("x # y", lambda s, p: p["x"] != p["y"]),
+         GuardClause("<<x, y>> \\notin edges",
+                     lambda s, p: edge(p) not in s["edges"])),
+        lambda s, p: [{"edges": edges(s, add=[edge(p)]), "last": p["x"]}])
+    unlink = ActionSchema(
+        "Unlink", ends,
+        (GuardClause("<<x, y>> \\in edges",
+                     lambda s, p: edge(p) in s["edges"]),),
+        lambda s, p: [{"edges": edges(s, cut=[edge(p)])}])
+    return Spec(variables=("edges", "last"),
+                init=[SpecState({"edges": VSet([]), "last": VStr("none")})],
+                actions=[link, unlink], symmetric=("a", "b", "c"))
+
+
+def test_an_edge_set_is_keyed_by_its_fingerprint():
+    spec = _edge_spec()
+    states, _ = explore(spec)
+    orbits = Orbits(spec.symmetric, frozenset(spec.symmetric))
+    for s in states:
+        assert (orbits.key(s) == s.fingerprint()) == bool(s["edges"].items)
+
+
+# Event-only traces, so every name is free at every line; each with its
+# verdict and deepest entry.  Only six edges exist.
+_EDGE_TRACES = {
+    "accepted": (["Link", "Link", "Unlink", "Link"], True, 4),
+    "seven-links": (["Link"] * 7, False, 6),
+    "cut-first": (["Unlink", "Link"], False, 0),
+    "cut-thrice": (["Link", "Unlink", "Link", "Unlink", "Unlink"], False, 4),
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_TRACES))
+@pytest.mark.parametrize("search", ["bfs", "dfs"])
+def test_states_the_skeleton_walk_cannot_key_merge_only_with_themselves(
+        case, search):
+    events, accepted, consumed_max = _EDGE_TRACES[case]
+    trace = [TraceEntry(clock=k, event=e) for k, e in enumerate(events, 1)]
+    got = check_reduction(_edge_spec(), trace, ExplorerConfig(search=search))
+    assert (got.accepted, got.consumed_max) == (accepted, consumed_max)
 
 
 def test_orbit_tables_are_made_only_for_lines_that_key(tmp_path,
