@@ -30,10 +30,9 @@ from pathlib import Path
 from .errors import TracecheckError
 from .explorer import ExplorerConfig, explain, explored_dot, validate
 from .machine import Spec
-from .protocols import (TokenRingConfig, TwoPhaseConfig,
+from .protocols import (RECORD_LEVELS, TokenRingConfig, TwoPhaseConfig,
                         build_tokenring_spec, build_twophase_spec, rm_names,
-                        run_tokenring, run_twophase)
-from .protocols.common import RECORD_LEVELS
+                        run_tokenring, run_twophase, tokenring, twophase)
 from .tracer import TRACE_PATH_ENV
 from .traces import merge, read_lines, read_trace_file, serialize_trace
 from .values import TOO_DEEP, parse_json
@@ -105,17 +104,14 @@ def _load_composition(path: str) -> dict[str, tuple[str, ...]]:
     return out
 
 
-def _parse_range(text: str, flag: str) -> tuple[float, float]:
-    parts = text.split(",")
+def _range(text: str) -> tuple[float, float]:
+    """A ``--delay`` or ``--work`` value: LO,HI, or one number for both."""
+    lo, sep, hi = text.partition(",")
     try:
-        if len(parts) == 1:
-            v = float(parts[0])
-            return (v, v)
-        if len(parts) == 2:
-            return (float(parts[0]), float(parts[1]))
+        return float(lo), float(hi if sep else lo)
     except ValueError:
-        pass
-    raise UsageError(f"{flag} expects LO,HI or a single number, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected LO,HI or a single number, got {text!r}") from None
 
 
 def _input_error(path: str, exc: TracecheckError) -> UsageError:
@@ -180,25 +176,22 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.json and not args.and_validate:
+        raise UsageError("--json needs --and-validate")
     out_dir = args.out or os.environ.get(TRACE_PATH_ENV) \
         or f"runs/{args.protocol}-seed{args.seed}"
+    if args.protocol == "twophase":
+        config, run = TwoPhaseConfig, run_twophase
+    else:
+        config, run = TokenRingConfig, run_tokenring
+    # A protocol's parser names each flag after the config field it sets.
+    kwargs = {k: v for k, v in vars(args).items()
+              if k in config.__dataclass_fields__}
+    if "rms" in kwargs:     # a count on the command line
+        kwargs["rms"] = rm_names(args.rms)
     try:
-        if args.protocol == "twophase":
-            cfg = TwoPhaseConfig(
-                rms=rm_names(args.rms), seed=args.seed, record=args.record,
-                bug=args.bug, loss=args.loss,
-                delay=_parse_range(args.delay, "--delay"),
-                work=_parse_range(args.work, "--work"),
-                timeout=args.timeout, abort_after=args.abort_after,
-                force_resend=args.force_resend,
-                resend_logging=args.resend_logging)
-            result = run_twophase(cfg, out_dir)
-        else:
-            cfg = TokenRingConfig(
-                n=args.n, seed=args.seed, record=args.record, bug=args.bug,
-                delay=_parse_range(args.delay, "--delay"),
-                work=_parse_range(args.work, "--work"))
-            result = run_tokenring(cfg, out_dir)
+        cfg = config(**kwargs)
+        result = run(cfg, out_dir)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     print(f"{result.protocol}: {len(result.trace)} entries in "
@@ -277,43 +270,50 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=_cmd_validate)
 
     p_run = sub.add_parser("run", help="simulate a bundled protocol")
-    p_run.add_argument("protocol", choices=("twophase", "tokenring"))
-    p_run.add_argument("--rms", type=int, default=2,
-                       help="twophase: number of resource managers")
-    p_run.add_argument("--n", type=int, default=3,
-                       help="tokenring: number of nodes")
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--record", choices=RECORD_LEVELS, default="vea")
-    p_run.add_argument("--bug", default=None,
-                       help="twophase: counter; tokenring: self-message "
-                            "or eternal-token")
-    p_run.add_argument("--loss", type=float, default=0.0,
-                       help="twophase: message loss probability")
-    p_run.add_argument("--delay", default="1,2",
+    by_protocol = p_run.add_subparsers(dest="protocol", required=True)
+    p_two = by_protocol.add_parser("twophase", help="two-phase commit")
+    p_ring = by_protocol.add_parser(
+        "tokenring", help="token-ring termination detection")
+    p_two.add_argument("--rms", type=int, default=len(TwoPhaseConfig.rms),
+                       help="number of resource managers")
+    p_ring.add_argument("--n", type=int, default=TokenRingConfig.n,
+                        help="number of nodes")
+    for p, config, bugs in ((p_two, TwoPhaseConfig, twophase.BUGS),
+                            (p_ring, TokenRingConfig, tokenring.BUGS)):
+        p.add_argument("--seed", type=int, default=config.seed)
+        p.add_argument("--record", choices=RECORD_LEVELS,
+                       default=config.record)
+        p.add_argument("--bug", choices=bugs, default=config.bug,
+                       help="inject a known deviation")
+        p.add_argument("--delay", type=_range, default=config.delay,
                        help="message delay range LO,HI")
-    p_run.add_argument("--work", default="1,5",
+        p.add_argument("--work", type=_range, default=config.work,
                        help="per-process work time range LO,HI")
-    p_run.add_argument("--timeout", type=float, default=60.0,
-                       help="twophase: Prepared resend period")
-    p_run.add_argument("--abort-after", type=float, default=None,
-                       help="twophase: TM aborts at this time if undecided")
-    p_run.add_argument("--force-resend", action="store_true",
-                       help="twophase: schedule work so a Prepared is "
-                            "resent before the decision")
-    p_run.add_argument("--resend-logging", choices=("stutter", "silent"),
-                       default="stutter",
-                       help="twophase: record resends as unchanged-value "
-                            "entries, or not at all")
-    p_run.add_argument("--out", default=None,
+        p.add_argument("--out", default=None,
                        help=f"output directory (default: ${TRACE_PATH_ENV} "
                             "or runs/<protocol>-seed<seed>)")
-    p_run.add_argument("--and-validate", action="store_true",
+        p.add_argument("--and-validate", action="store_true",
                        help="validate the merged trace right away "
                             "(stutter allowed, run's composition applied)")
-    p_run.add_argument("--json", action="store_true",
+        p.add_argument("--json", action="store_true",
                        help="print the verdict as JSON (with "
                             "--and-validate)")
-    p_run.set_defaults(func=_cmd_run, dot=None)
+        p.set_defaults(func=_cmd_run, dot=None)
+    p_two.add_argument("--loss", type=float, default=TwoPhaseConfig.loss,
+                       help="message loss probability")
+    p_two.add_argument("--timeout", type=float,
+                       default=TwoPhaseConfig.timeout,
+                       help="Prepared resend period")
+    p_two.add_argument("--abort-after", type=float,
+                       default=TwoPhaseConfig.abort_after,
+                       help="TM aborts at this time if undecided")
+    p_two.add_argument("--force-resend", action="store_true",
+                       help="schedule work so a Prepared is resent before "
+                            "the decision")
+    p_two.add_argument("--resend-logging", choices=twophase.RESEND_LOGGING,
+                       default=TwoPhaseConfig.resend_logging,
+                       help="record resends as unchanged-value entries, "
+                            "or not at all")
 
     p_merge = sub.add_parser("merge",
                              help="merge per-process traces on their clocks")

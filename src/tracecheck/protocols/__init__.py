@@ -1,6 +1,6 @@
 """Instrumented example protocols and their reference state machines."""
 
-from .common import RECORD_LEVELS, Recorder, RunResult, finalize_run
+from .common import RECORD_LEVELS, Recorder, RunResult
 from .sim import SimNetwork, SimScheduler
 from .tokenring import (COMPOSITION, TokenRingConfig, build_tokenring_spec,
                         run_tokenring)
@@ -11,7 +11,6 @@ __all__ = [
     "RECORD_LEVELS",
     "Recorder",
     "RunResult",
-    "finalize_run",
     "SimNetwork",
     "SimScheduler",
     "COMPOSITION",

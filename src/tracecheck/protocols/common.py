@@ -113,34 +113,26 @@ class SimRun:
             # which point at this run: drop them so nothing is cyclic.
             self.sched.clear()
             self.net.clear()
-        return finalize_run(protocol, self.out, self.cfg, self.files, spec,
-                            composition)
+        merged = merge([read_trace_file(p) for p in self.files])
+        merged_file = self.out / "merged.ndjson"
+        write_trace_file(merged_file, merged)
 
+        manifest = {
+            "protocol": protocol,
+            "seed": self.cfg.seed,
+            "config": dataclasses.asdict(self.cfg),
+            "files": [p.name for p in self.files],
+            "merged": merged_file.name,
+            "entries": len(merged),
+            "composition": {k: list(v) for k, v in composition.items()},
+        }
+        manifest_file = self.out / "manifest.json"
+        # No indent: the stdlib encodes that in pure Python, whose nested
+        # closures would leave reference cycles behind every run.
+        manifest_file.write_text(json.dumps(manifest, sort_keys=True) + "\n",
+                                 encoding="utf-8")
 
-def finalize_run(protocol: str, out_dir: Path, cfg, files: list[Path],
-                 spec: Spec, composition: dict[str, tuple[str, ...]]
-                 ) -> RunResult:
-    """Merge the per-process traces and write the run manifest."""
-    merged = merge([read_trace_file(p) for p in files])
-    merged_file = out_dir / "merged.ndjson"
-    write_trace_file(merged_file, merged)
-
-    manifest = {
-        "protocol": protocol,
-        "seed": cfg.seed,
-        "config": dataclasses.asdict(cfg),
-        "files": [p.name for p in files],
-        "merged": merged_file.name,
-        "entries": len(merged),
-        "composition": {k: list(v) for k, v in composition.items()},
-    }
-    manifest_file = out_dir / "manifest.json"
-    # No indent: the stdlib encodes that in pure Python, whose nested
-    # closures would leave reference cycles behind every run.
-    manifest_file.write_text(json.dumps(manifest, sort_keys=True) + "\n",
-                             encoding="utf-8")
-
-    return RunResult(
-        protocol=protocol, out_dir=out_dir, trace_files=list(files),
-        merged_file=merged_file, manifest_file=manifest_file,
-        trace=merged, spec=spec, composition=dict(composition))
+        return RunResult(
+            protocol=protocol, out_dir=self.out, trace_files=list(self.files),
+            merged_file=merged_file, manifest_file=manifest_file,
+            trace=merged, spec=spec, composition=dict(composition))

@@ -111,12 +111,15 @@ def build_tokenring_spec(n: int) -> Spec:
 
 # --- simulator --------------------------------------------------------
 
+BUGS = ("self-message", "eternal-token")
+
+
 @dataclass
 class TokenRingConfig:
     n: int = 3
     seed: int = 0
     record: str = "vea"
-    bug: str | None = None     # None | "self-message" | "eternal-token"
+    bug: str | None = None     # None or one of BUGS
     delay: tuple[float, float] = (1.0, 2.0)
     work: tuple[float, float] = (1.0, 5.0)
     time_limit: float = 100_000.0
@@ -126,7 +129,7 @@ class TokenRingConfig:
             raise ValueError("the ring needs at least 2 nodes")
         if self.record not in RECORD_LEVELS:
             raise ValueError(f"record must be one of {RECORD_LEVELS}")
-        if self.bug not in (None, "self-message", "eternal-token"):
+        if self.bug not in (None, *BUGS):
             raise ValueError(f"unknown bug {self.bug!r}")
         check_timing("delay", self.delay)
         check_timing("work", self.work)

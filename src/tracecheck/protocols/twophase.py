@@ -161,29 +161,33 @@ def build_twophase_spec(rms) -> Spec:
 
 # --- simulator --------------------------------------------------------
 
+BUGS = ("counter",)
+RESEND_LOGGING = ("stutter", "silent")
+
+
 @dataclass
 class TwoPhaseConfig:
     rms: tuple[str, ...] = ("rm-0", "rm-1")
     seed: int = 0
     record: str = "vea"
-    bug: str | None = None              # None | "counter"
+    bug: str | None = None              # None or one of BUGS
     loss: float = 0.0
     delay: tuple[float, float] = (1.0, 2.0)
     work: tuple[float, float] = (1.0, 5.0)
     timeout: float = 60.0               # Prepared resend period
     abort_after: float | None = None    # TM decides Abort at this time
     force_resend: bool = False
-    resend_logging: str = "stutter"     # "stutter" | "silent"
+    resend_logging: str = "stutter"     # one of RESEND_LOGGING
     time_limit: float = 100_000.0
 
     def __post_init__(self):
         _check_rms(self.rms)
         if self.record not in RECORD_LEVELS:
             raise ValueError(f"record must be one of {RECORD_LEVELS}")
-        if self.bug not in (None, "counter"):
+        if self.bug not in (None, *BUGS):
             raise ValueError(f"unknown bug {self.bug!r}")
-        if self.resend_logging not in ("stutter", "silent"):
-            raise ValueError("resend_logging must be 'stutter' or 'silent'")
+        if self.resend_logging not in RESEND_LOGGING:
+            raise ValueError(f"resend_logging must be one of {RESEND_LOGGING}")
         check_timing("delay", self.delay)
         check_timing("work", self.work)
         # A zero period would resend at the same virtual time forever.

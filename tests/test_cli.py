@@ -12,7 +12,8 @@ import pytest
 
 import tracecheck
 from tracecheck.cli import main
-from tracecheck.protocols import build_twophase_spec
+from tracecheck.protocols import (TokenRingConfig, TwoPhaseConfig,
+                                  build_twophase_spec)
 
 
 def run_cli(argv, capsys):
@@ -248,6 +249,46 @@ def test_a_refused_run_leaves_no_output_directory(argv, tmp_path, capsys):
     assert code == 3
     assert err.count("error:") == 1
     assert not out_dir.exists()
+
+
+# Each protocol's run parser declares only the flags its config reads,
+# and --json prints only a verdict that --and-validate asked for.
+@pytest.mark.parametrize("argv", [
+    ["tokenring", "--rms", "3"], ["tokenring", "--loss", "0.5"],
+    ["tokenring", "--timeout", "5"], ["tokenring", "--abort-after", "2"],
+    ["tokenring", "--force-resend"],
+    ["tokenring", "--resend-logging", "silent"],
+    ["twophase", "--n", "5"], ["twophase", "--json"]])
+def test_a_run_refuses_a_flag_it_does_not_read(argv, tmp_path, capsys):
+    out_dir = tmp_path / "x"
+    code, out, err = run_cli(["run", *argv, "--out", str(out_dir)], capsys)
+    assert code == 3
+    assert err.count("error:") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("protocol, only_other", [
+    ("twophase", ["--n"]),
+    ("tokenring", ["--rms", "--loss", "--timeout", "--abort-after",
+                   "--force-resend", "--resend-logging"])])
+def test_run_help_names_only_the_protocols_flags(protocol, only_other,
+                                                 capsys):
+    code, out, _ = run_cli(["run", protocol, "--help"], capsys)
+    assert code == 0
+    assert "--seed" in out
+    assert not [flag for flag in only_other if flag in out]
+
+
+@pytest.mark.parametrize("protocol, config", [
+    ("twophase", TwoPhaseConfig), ("tokenring", TokenRingConfig)])
+def test_a_flagless_run_records_the_default_config(protocol, config,
+                                                   tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code, _, _ = run_cli(["run", protocol, "--out", str(out_dir)], capsys)
+    assert code == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["config"] == json.loads(
+        json.dumps(dataclasses.asdict(config())))
 
 
 def test_effect_outside_its_frame_exits_three(tmp_path, capsys,
